@@ -104,16 +104,6 @@ let reservoir_opt =
            decommitted instead of unmapping, bounding residency by heap-held + R*S. 0 (the default) \
            disables it, restoring the seed lifecycle.")
 
-let shelf_opt =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "shelf" ] ~docv:"N"
-        ~doc:
-          "Capacity (superblocks) of the lock-free empty-superblock shelf in front of the global \
-           heap: refills pop and trims push with a single CAS, bypassing the global lock. 0 (the \
-           default) disables it.")
-
 let slack_opt =
   Arg.(
     value
@@ -122,7 +112,7 @@ let slack_opt =
         ~doc:
           "Slack K (superblocks a per-processor heap may hold beyond use) for the instrumented \
            pass. 0 sends every empty superblock across the emptiness threshold — the \
-           transfer-heavy configuration the contention smoke measures the shelf on.")
+           transfer-heavy configuration the global-heap contention smoke measures on.")
 
 let run_cmd =
   let doc = "Run one experiment by id." in
@@ -150,12 +140,8 @@ let run_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Write the experiment's tables as a JSON report (the CI artifact format).")
   in
-  let run id full quick csv procs metrics trace front_end vmem reservoir shelf slack json sets =
-    let config =
-      Config_cli.apply
-        (Hoard_config.make ~front_end ~vmem_backend:vmem ~reservoir ~shelf ~slack ())
-        sets
-    in
+  let run id full quick csv procs metrics trace front_end vmem reservoir slack json sets =
+    let config = Config_cli.apply (Hoard_config.make ~front_end ~vmem_backend:vmem ~reservoir ~slack ()) sets in
     let scale = scale_of_flag (full && not quick) in
     match Experiments.find id with
     | None ->
@@ -198,8 +184,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ id_arg $ full_flag $ quick_flag $ csv_flag $ procs_opt $ metrics_opt $ trace_opt
-      $ front_end_opt $ vmem_opt $ reservoir_opt $ shelf_opt $ slack_opt $ json_opt
-      $ Config_cli.set_opt)
+      $ front_end_opt $ vmem_opt $ reservoir_opt $ slack_opt $ json_opt $ Config_cli.set_opt)
 
 let all_cmd =
   let doc = "Run every experiment in order." in
@@ -230,10 +215,8 @@ let get_workload name full =
 
 let inspect_cmd =
   let doc = "Run a benchmark under Hoard, then dump the allocator's heap state." in
-  let run name full nprocs front_end vmem reservoir shelf sets =
-    let config =
-      Config_cli.apply (Hoard_config.make ~front_end ~vmem_backend:vmem ~reservoir ~shelf ()) sets
-    in
+  let run name full nprocs front_end vmem reservoir sets =
+    let config = Config_cli.apply (Hoard_config.make ~front_end ~vmem_backend:vmem ~reservoir ()) sets in
     let w = get_workload name full in
     let sim = Sim.create ~vmem_backend:config.Hoard_config.vmem_backend ~nprocs () in
     let pf = Sim.platform sim in
@@ -247,12 +230,8 @@ let inspect_cmd =
         (fun (tid, counts) ->
           Printf.printf "tcache tid=%d: %d blocks cached\n" tid (Array.fold_left ( + ) 0 counts))
         (Hoard.cache_counts h);
-      if config.Hoard_config.deferred then
-        Printf.printf "deferred lists: [%s]\n"
-          (String.concat "; " (Array.to_list (Array.map string_of_int (Hoard.deferred_lengths h))))
-      else
-        Printf.printf "remote queues: [%s]\n"
-          (String.concat "; " (Array.to_list (Array.map string_of_int (Hoard.remote_queue_lengths h))));
+      Printf.printf "deferred lists: [%s]\n"
+        (String.concat "; " (Array.to_list (Array.map string_of_int (Hoard.deferred_lengths h))));
       Hoard.flush_caches h;
       a.Alloc_intf.check ()
     end;
@@ -261,9 +240,6 @@ let inspect_cmd =
     if config.Hoard_config.reservoir > 0 then
       Printf.printf "reservoir: %d/%d superblocks parked\n" (Hoard.reservoir_length h)
         config.Hoard_config.reservoir;
-    if config.Hoard_config.shelf > 0 then
-      Printf.printf "shelf: %d/%d empty superblocks shelved\n" (Hoard.shelf_length h)
-        config.Hoard_config.shelf;
     let s = a.Alloc_intf.stats () in
     Printf.printf "%s on %d processors: %d cycles\n%s\n\n" name nprocs (Sim.total_cycles sim)
       (Format.asprintf "%a" Alloc_stats.pp_snapshot s);
@@ -273,18 +249,17 @@ let inspect_cmd =
     (Cmd.info "inspect" ~doc)
     Term.(
       const run $ workload_arg $ full_flag $ nprocs_arg $ front_end_opt $ vmem_opt $ reservoir_opt
-      $ shelf_opt $ Config_cli.set_opt)
+      $ Config_cli.set_opt)
 
 let sweep_cmd =
   let doc = "Run one benchmark under Hoard with explicit algorithm parameters." in
   let f_arg = Arg.(value & opt float 0.25 & info [ "f" ] ~doc:"Emptiness fraction f.") in
   let k_arg = Arg.(value & opt int 4 & info [ "k" ] ~doc:"Slack K (superblocks).") in
   let s_arg = Arg.(value & opt int 8192 & info [ "sbsize" ] ~doc:"Superblock size S.") in
-  let run name full nprocs f k sbsize vmem reservoir shelf sets =
+  let run name full nprocs f k sbsize vmem reservoir sets =
     let config =
       Config_cli.apply
-        (Hoard_config.make ~empty_fraction:f ~slack:k ~sb_size:sbsize ~vmem_backend:vmem ~reservoir
-           ~shelf ())
+        (Hoard_config.make ~empty_fraction:f ~slack:k ~sb_size:sbsize ~vmem_backend:vmem ~reservoir ())
         sets
     in
     let w = get_workload name full in
@@ -309,7 +284,7 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
       const run $ workload_arg $ full_flag $ nprocs_arg $ f_arg $ k_arg $ s_arg $ vmem_opt
-      $ reservoir_opt $ shelf_opt $ Config_cli.set_opt)
+      $ reservoir_opt $ Config_cli.set_opt)
 
 let serve_cmd =
   let doc =
@@ -325,7 +300,7 @@ let serve_cmd =
   let allocator_arg =
     Arg.(
       value
-      & opt string "hoard-fe"
+      & opt string "hoard-gl"
       & info [ "allocator"; "a" ] ~docv:"LABEL" ~doc:"Allocator to serve with (see $(b,hoard_trace) list).")
   in
   let requests_opt =

@@ -21,11 +21,8 @@ type snapshot = {
   cache_hits : int;
   cache_fills : int;
   cache_flushes : int;
-  remote_enqueues : int;
   remote_drains : int;
   remote_forwards : int;
-  shelf_pushes : int;
-  shelf_pops : int;
   large_maps : int;
   large_cache_hits : int;
   deferred_enqueues : int;
@@ -53,11 +50,8 @@ type shard = {
   mutable cache_hits : int;
   mutable cache_fills : int;
   mutable cache_flushes : int;
-  mutable remote_enqueues : int;
   mutable remote_drains : int;
   mutable remote_forwards : int;
-  mutable shelf_pushes : int;
-  mutable shelf_pops : int;
   mutable large_maps : int;
   mutable large_cache_hits : int;
   mutable deferred_enqueues : int;
@@ -107,11 +101,8 @@ let new_shard merged_peak =
     cache_hits = 0;
     cache_fills = 0;
     cache_flushes = 0;
-    remote_enqueues = 0;
     remote_drains = 0;
     remote_forwards = 0;
-    shelf_pushes = 0;
-    shelf_pops = 0;
     large_maps = 0;
     large_cache_hits = 0;
     deferred_enqueues = 0;
@@ -202,7 +193,7 @@ let on_remote_free sh = sh.remote_frees <- sh.remote_frees + 1
 (* Front-end events. A cached block stays charged to its superblock's heap
    ([u]) until the drain returns it, so live_bytes moves only when blocks
    cross the heap boundary: + at fill (blocks leave the heap core for a
-   cache), - at drain (queued blocks re-enter a heap core). Cache-hit
+   cache), - at drain (deferred blocks re-enter a heap core). Cache-hit
    mallocs and cached frees leave live_bytes alone. *)
 let on_cache_hit sh ~requested =
   sh.mallocs <- sh.mallocs + 1;
@@ -217,21 +208,11 @@ let on_cache_fill sh ~blocks ~bytes =
 
 let on_cache_flush sh ~blocks = sh.cache_flushes <- sh.cache_flushes + blocks
 
-let on_remote_enqueue sh ~blocks = sh.remote_enqueues <- sh.remote_enqueues + blocks
-
 let on_drain sh ~usable =
   sh.remote_drains <- sh.remote_drains + 1;
   sh.live_bytes <- sh.live_bytes - usable
 
 let on_remote_forward sh ~blocks = sh.remote_forwards <- sh.remote_forwards + blocks
-
-(* Shelf transfers move a whole empty superblock, so live bytes are
-   untouched; [held] doesn't move either — a shelved superblock is still
-   heap-held (it belongs to the global heap's envelope, just reachable
-   without its lock). *)
-let on_shelf_push sh = sh.shelf_pushes <- sh.shelf_pushes + 1
-
-let on_shelf_pop sh = sh.shelf_pops <- sh.shelf_pops + 1
 
 (* Large path. [on_large_map] marks a large allocation that paid a real
    OS map; [on_large_cache_hit] one served by the MPSC cache's
@@ -358,11 +339,8 @@ let snapshot t =
   and hits = ref 0
   and fills = ref 0
   and flushes = ref 0
-  and enqueues = ref 0
   and drains = ref 0
   and forwards = ref 0
-  and shelf_pushes = ref 0
-  and shelf_pops = ref 0
   and large_maps = ref 0
   and large_cache_hits = ref 0
   and deferred_enqueues = ref 0
@@ -380,11 +358,8 @@ let snapshot t =
       hits := !hits + sh.cache_hits;
       fills := !fills + sh.cache_fills;
       flushes := !flushes + sh.cache_flushes;
-      enqueues := !enqueues + sh.remote_enqueues;
       drains := !drains + sh.remote_drains;
       forwards := !forwards + sh.remote_forwards;
-      shelf_pushes := !shelf_pushes + sh.shelf_pushes;
-      shelf_pops := !shelf_pops + sh.shelf_pops;
       large_maps := !large_maps + sh.large_maps;
       large_cache_hits := !large_cache_hits + sh.large_cache_hits;
       deferred_enqueues := !deferred_enqueues + sh.deferred_enqueues;
@@ -420,11 +395,8 @@ let snapshot t =
     cache_hits = !hits;
     cache_fills = !fills;
     cache_flushes = !flushes;
-    remote_enqueues = !enqueues;
     remote_drains = !drains;
     remote_forwards = !forwards;
-    shelf_pushes = !shelf_pushes;
-    shelf_pops = !shelf_pops;
     large_maps = !large_maps;
     large_cache_hits = !large_cache_hits;
     deferred_enqueues = !deferred_enqueues;
@@ -463,11 +435,8 @@ let publish t ?(prefix = "alloc") metrics =
   reg "cache_hits" (fun s -> s.cache_hits);
   reg "cache_fills" (fun s -> s.cache_fills);
   reg "cache_flushes" (fun s -> s.cache_flushes);
-  reg "remote_enqueues" (fun s -> s.remote_enqueues);
   reg "remote_drains" (fun s -> s.remote_drains);
   reg "remote_forwards" (fun s -> s.remote_forwards);
-  reg "shelf_pushes" (fun s -> s.shelf_pushes);
-  reg "shelf_pops" (fun s -> s.shelf_pops);
   reg "large_maps" (fun s -> s.large_maps);
   reg "large_cache_hits" (fun s -> s.large_cache_hits);
   reg "deferred_enqueues" (fun s -> s.deferred_enqueues);
@@ -503,11 +472,11 @@ let pp_snapshot fmt (s : snapshot) =
     Format.fprintf fmt " resident=%dB peak_resident=%dB reservoir=%dB decommits=%d recommits=%d parks=%d drops=%d"
       s.resident_bytes s.peak_resident_bytes s.reservoir_bytes s.decommits s.recommits s.reservoir_parks
       s.reservoir_drops;
-  if s.cache_hits + s.cache_fills + s.remote_enqueues > 0 then
-    Format.fprintf fmt " cache_hits=%d fills=%d flushes=%d enq=%d drained=%d fwd=%d" s.cache_hits s.cache_fills
-      s.cache_flushes s.remote_enqueues s.remote_drains s.remote_forwards;
-  if s.shelf_pushes + s.shelf_pops + s.cas_retries > 0 then begin
-    Format.fprintf fmt " shelf_pushes=%d shelf_pops=%d cas_retries=%d" s.shelf_pushes s.shelf_pops s.cas_retries;
+  if s.cache_hits + s.cache_fills > 0 then
+    Format.fprintf fmt " cache_hits=%d fills=%d flushes=%d drained=%d fwd=%d" s.cache_hits s.cache_fills
+      s.cache_flushes s.remote_drains s.remote_forwards;
+  if s.cas_retries > 0 then begin
+    Format.fprintf fmt " cas_retries=%d" s.cas_retries;
     List.iter
       (fun (label, c) -> if c > 0 then Format.fprintf fmt "[%s=%d]" label c)
       s.cas_retries_by

@@ -58,12 +58,10 @@ type snapshot = {
   cache_hits : int;  (** mallocs served by a front-end cache, no lock taken *)
   cache_fills : int;  (** blocks moved heap -> front-end cache *)
   cache_flushes : int;  (** blocks flushed out of front-end caches *)
-  remote_enqueues : int;  (** blocks pushed onto remote-free queues *)
   remote_drains : int;  (** blocks returned to a heap core by the front end *)
   remote_forwards : int;
-      (** migrated blocks re-forwarded by a drain to the new owner's queue *)
-  shelf_pushes : int;  (** empty superblocks pushed onto the lock-free shelf *)
-  shelf_pops : int;  (** refills served by popping the shelf (no global lock) *)
+      (** migrated blocks re-forwarded by a deferred reclaim to the new
+          owner *)
   large_maps : int;  (** large allocations that paid an OS map *)
   large_cache_hits : int;  (** large allocations served by the MPSC cache (take -> commit) *)
   deferred_enqueues : int;  (** blocks CAS-pushed onto deferred free lists *)
@@ -76,7 +74,7 @@ type snapshot = {
   cas_retries : int;  (** failed CASes in lock-free structures (contention) *)
   cas_retries_by : (string * int) list;
       (** per-structure breakdown of [cas_retries] by hook label (e.g.
-          ["reservoir"], ["shelf"], ["deferred"], ["large-cache"],
+          ["reservoir"], ["deferred"], ["large-cache"],
           ["global"]), in hook-registration order; the labels sum to
           [cas_retries] at quiescent points *)
   global_pushes : int;  (** superblocks published to the lock-free global index *)
@@ -110,7 +108,7 @@ val on_remote_free : shard -> unit
 
 (** {2 Front-end events — call under the shard's domain discipline}
 
-    A block sitting in a front-end cache or a remote-free queue stays
+    A block sitting in a front-end cache or a deferred list stays
     charged to the heap that owns its superblock, so [live_bytes] (and
     with it every allocator's [check]) reconciles exactly against the
     heap cores at any quiescent point: fills add the moved bytes
@@ -132,24 +130,14 @@ val on_cache_fill : shard -> blocks:int -> bytes:int -> unit
 
 val on_cache_flush : shard -> blocks:int -> unit
 
-val on_remote_enqueue : shard -> blocks:int -> unit
-
 val on_drain : shard -> usable:int -> unit
-(** One block returned to a heap core (queue drain or direct fallback),
+(** One block returned to a heap core (deferred reclaim or locked disposal),
     under that heap's lock: live bytes drop by [usable]; the free itself
     was already counted by {!on_cached_free}. *)
 
 val on_remote_forward : shard -> blocks:int -> unit
-(** Migrated blocks a drain re-forwarded to their new owner's queue
-    instead of freeing inline, under the draining heap's lock. *)
-
-val on_shelf_push : shard -> unit
-(** An empty superblock moved heap -> shelf, under the source heap's
-    lock. Live and held bytes are untouched: a shelved superblock stays
-    heap-held (global heap's envelope, reachable without its lock). *)
-
-val on_shelf_pop : shard -> unit
-(** A refill served from the shelf, under the destination heap's lock. *)
+(** Migrated blocks a deferred reclaim re-forwarded to their new owner
+    instead of freeing inline, under the reclaiming heap's lock. *)
 
 val on_large_map : shard -> unit
 (** A large allocation that mapped fresh pages, under the large lock. *)

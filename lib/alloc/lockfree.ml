@@ -1,7 +1,7 @@
 (* A bounded lock-free Treiber stack over Platform atomics.
 
    This is the non-blocking substrate under the superblock reservoir and
-   the empty-superblock shelf: push and pop complete with CAS only, no
+   the large-object cache: push and pop complete with CAS only, no
    lock, so a thread preempted (or crashed, on real hardware) mid-way
    never blocks the others.
 

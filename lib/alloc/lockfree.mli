@@ -1,7 +1,7 @@
 (** Bounded lock-free Treiber stack over {!Platform} atomics.
 
     The non-blocking substrate of the superblock reservoir and the
-    empty-superblock shelf: [push]/[pop] complete with CAS only — no
+    large-object cache: [push]/[pop] complete with CAS only — no
     lock, so they are safe at any interleaving and explorable by
     [Check.Explorer] (link words are platform atomics on distinct cache
     lines, every operation a schedule-visible step).

@@ -16,54 +16,29 @@ type subject = {
          skipped for them). *)
 }
 
+(* Every hoard subject starts from the registry's config for its label
+   ([Allocators.base_config]), so an oracle run of [hoard-gl] checks the
+   very configuration the benchmarks measure; checking subjects only layer
+   knobs on top. *)
 let hoard_subjects =
+  let base label =
+    match Allocators.base_config label with
+    | Some cfg -> cfg
+    | None -> invalid_arg (sprintf "Check_run: %S has no registry config" label)
+  in
+  let subject s_label s_describe cfg = { s_label; s_describe; s_config = Some cfg } in
   [
-    { s_label = "hoard"; s_describe = "paper-exact configuration"; s_config = Some Hoard_config.default };
-    {
-      s_label = "hoard-fe";
-      s_describe = "lock-free front end";
-      s_config = Some (Hoard_config.make ~front_end:Allocators.front_end_default ());
-    };
-    {
-      s_label = "hoard-df";
-      s_describe = "front end with deferred remote-free lists and the large-object cache";
-      s_config =
-        Some
-          (Hoard_config.make ~front_end:Allocators.front_end_default ~deferred:true
-             ~large_cache:Allocators.large_cache_default ());
-    };
-    {
-      s_label = "hoard-df-san";
-      s_describe = "deferred frees and large cache with the sanitizer on";
-      s_config =
-        Some
-          (Hoard_config.make ~front_end:Allocators.front_end_default ~deferred:true
-             ~large_cache:Allocators.large_cache_default ~sanitize:true ());
-    };
-    {
-      s_label = "hoard-san";
-      s_describe = "sanitizer on (poison, canaries, quarantine)";
-      s_config = Some (Hoard_config.make ~sanitize:true ());
-    };
-    {
-      s_label = "hoard-fe-san";
-      s_describe = "front end and sanitizer together";
-      s_config = Some (Hoard_config.make ~front_end:Allocators.front_end_default ~sanitize:true ());
-    };
-    {
-      s_label = "hoard-res";
-      s_describe = "superblock reservoir on the first-fit vmem backend, sanitizer on";
-      (* The sanitizer makes decommitted-page touches and
-         recommit-on-reuse part of what this subject checks. *)
-      s_config =
-        Some (Hoard_config.make ~reservoir:4 ~vmem_backend:Vmem_backend.First_fit ~sanitize:true ());
-    };
-    {
-      s_label = "hoard-shelf";
-      s_describe = "lock-free shelf and reservoir in front of the global heap, with the front end";
-      s_config =
-        Some (Hoard_config.make ~shelf:4 ~reservoir:4 ~front_end:Allocators.front_end_default ());
-    };
+    subject "hoard" "paper-exact configuration" (base "hoard");
+    subject "hoard-gl" "production configuration: front end, deferred lists, lock-free global heap"
+      (base "hoard-gl");
+    subject "hoard-gl-san" "hoard-gl with the large-object cache and the sanitizer on"
+      (Hoard_config.make ~base:(base "hoard-gl") ~large_cache:Allocators.large_cache_default ~sanitize:true ());
+    subject "hoard-san" "sanitizer on (poison, canaries, quarantine)" (base "hoard-san");
+    (* The sanitizer makes decommitted-page touches and recommit-on-reuse
+       part of what this subject checks; the small cap makes the
+       reservoir overflow often. *)
+    subject "hoard-res" "superblock reservoir on the first-fit vmem backend, sanitizer on"
+      (Hoard_config.make ~base:(base "hoard-res") ~reservoir:4 ~sanitize:true ());
   ]
 
 let find_subject label =
@@ -84,7 +59,7 @@ let subject_help () =
    heap, K superblocks of slack, one being installed (the invariant is
    only enforced on frees), one in transit to the global heap, and one
    pinned per size class by the trim's protect-last rule; the global
-   heap's retained empties; front-end caches and remote queues park whole
+   heap's retained empties; front-end caches and deferred lists park whole
    blocks; the quarantine holds back frees; threads keep one allocation
    in flight. All counted at superblock granularity where a superblock
    could be pinned, so the envelope is generous but still O(U + P).
@@ -104,17 +79,15 @@ let blowup_slop cfg ~nprocs ~peak_live_threads =
   let in_flight = p * s in
   let fe = if cfg.Hoard_config.front_end > 0 then (p + heaps) * s else 0 in
   let quarantine = if cfg.Hoard_config.sanitize then cfg.Hoard_config.quarantine * Hoard_config.max_small cfg else 0 in
-  (* The shelf parks up to [shelf] empty superblocks outside any heap. *)
-  let shelf = cfg.Hoard_config.shelf * s in
   (* Deferred lists are unbounded, but a block only floats between a
      producer's eviction (at most a cache's worth per flush) and the
      owner's next fill — the same per-thread granularity as the caches,
      counted once more per heap since reclaims happen heap by heap. *)
-  let deferred = if cfg.Hoard_config.deferred && cfg.Hoard_config.front_end > 0 then (p + heaps) * s else 0 in
+  let deferred = if cfg.Hoard_config.front_end > 0 then (p + heaps) * s else 0 in
   (* The large cache keeps up to cap regions per bucket mapped (1..16
      pages each, 4 KiB pages on every platform we build). *)
   let large_cache = cfg.Hoard_config.large_cache * (16 * 17 / 2) * 4096 in
-  per_heap + retained + in_flight + fe + quarantine + shelf + deferred + large_cache
+  per_heap + retained + in_flight + fe + quarantine + deferred + large_cache
 
 type report = {
   c_workload : string;

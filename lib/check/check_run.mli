@@ -16,7 +16,9 @@ type subject = {
 }
 
 val hoard_subjects : subject list
-(** [hoard], [hoard-fe], [hoard-san], [hoard-fe-san]. *)
+(** [hoard], [hoard-gl], [hoard-gl-san], [hoard-san], [hoard-res]: each
+    built on {!Allocators.base_config} of its registry label, checking
+    subjects adding knobs on top. *)
 
 val find_subject : string -> subject option
 (** The hoard subjects, then any {!Allocators} registry label. *)

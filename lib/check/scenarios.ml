@@ -272,9 +272,9 @@ let reservoir_churn =
   }
 
 (* The Treiber protocol itself, raw: the bounded lock-free stack that
-   carries both the superblock reservoir and the empty-superblock shelf,
-   driven directly so every link word is a schedule step. Three threads
-   pop (one of them pushes back) against a 3-deep stack; the post-run
+   carries the superblock reservoir and the large-object cache, driven
+   directly so every link word is a schedule step. Three threads pop
+   (one of them pushes back) against a 3-deep stack; the post-run
    check walks the structure and demands every accepted push is
    accounted for exactly once. With the ABA tag frozen
    (mutant = "reservoir-no-aba"), a popper preempted between its link
@@ -288,7 +288,7 @@ let lockfree_stack ~mutant =
   {
     Explorer.sc_name = (if mutant = "" then "lockfree-stack" else "lockfree-stack-mutant");
     sc_describe =
-      (if mutant = "" then "pops racing pushes on the tagged Treiber stack under the reservoir and shelf"
+      (if mutant = "" then "pops racing pushes on the tagged Treiber stack under the reservoir and large cache"
        else "the same race with the ABA tag frozen; a stale pop corrupts the stack at bound <= 2");
     sc_nprocs = 3;
     sc_build =
@@ -393,41 +393,6 @@ let park_take_order ~mutant =
         fun () -> Hoard.check h);
   }
 
-(* The non-blocking transfer path end to end: with a shelf configured,
-   every emptiness trim pushes its empty victim with one CAS and every
-   refill pops the same way, three threads on two heaps churning
-   whole-superblock blocks through it. The post-run check leans on
-   [Hoard.check]'s shelf validation (shelved superblocks empty,
-   registered, resident, owned by heap 0, walked by the
-   corruption-detecting [Lockfree.iter]) plus the cap. *)
-let shelf_transfer =
-  {
-    Explorer.sc_name = "shelf-transfer";
-    sc_describe = "empty superblocks churning through the lock-free shelf: CAS push racing CAS pop";
-    sc_nprocs = 3;
-    sc_build =
-      (fun sim pf ->
-        let config = { (race_config ~mutant:"") with Hoard_config.nheaps = Some 2; shelf = 2 } in
-        let h = Hoard.create ~config pf in
-        let a = Hoard.allocator h in
-        let size = Hoard_config.max_small config in
-        for p = 0 to 2 do
-          ignore
-            (Sim.spawn sim ~proc:p (fun () ->
-                 for _ = 1 to 2 do
-                   let addr = a.Alloc_intf.malloc size in
-                   let u = a.Alloc_intf.usable_size addr in
-                   if u < size then failwith (sprintf "shelf-transfer: usable %d < %d" u size);
-                   a.Alloc_intf.free addr
-                 done))
-        done;
-        fun () ->
-          Hoard.check h;
-          let len = Hoard.shelf_length h in
-          if len > config.Hoard_config.shelf then
-            failwith (sprintf "shelf-transfer: %d shelved superblocks above cap %d" len config.Hoard_config.shelf));
-  }
-
 (* Producers racing CAS pushes onto one owner's deferred free list, end
    to end through the allocator: thread 0 (heap 1) allocates two blocks
    and hands one to each of threads 1 and 2 (heaps 2 and 3); their
@@ -448,7 +413,7 @@ let deferred_remote_free ~mutant =
     sc_build =
       (fun sim pf ->
         let config =
-          { (race_config ~mutant) with Hoard_config.nheaps = Some 3; front_end = 2; deferred = true }
+          { (race_config ~mutant) with Hoard_config.nheaps = Some 3; front_end = 2 }
         in
         let h = Hoard.create ~config pf in
         let a = Hoard.allocator h in
@@ -841,7 +806,6 @@ let all () =
     lockfree_stack ~mutant:"reservoir-no-aba";
     park_take_order ~mutant:"";
     park_take_order ~mutant:"park-before-decommit";
-    shelf_transfer;
     deferred_remote_free ~mutant:"";
     deferred_remote_free ~mutant:"deferred-lost-node";
     large_cache_churn ~mutant:"";

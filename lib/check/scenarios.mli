@@ -33,9 +33,9 @@ val reservoir_churn : Explorer.scenario
     {!Hoard.check}'s reservoir validation as the post-run oracle. *)
 
 val lockfree_stack : mutant:string -> Explorer.scenario
-(** The bounded Treiber stack under the reservoir and the shelf, driven
-    raw: concurrent pops (one pushing back) against a small stack, with a
-    conservation walk as the post-run oracle.
+(** The bounded Treiber stack under the reservoir and the large-object
+    cache, driven raw: concurrent pops (one pushing back) against a
+    small stack, with a conservation walk as the post-run oracle.
     [mutant = "reservoir-no-aba"] freezes the ABA tag and is caught at
     preemption bound <= 2; [mutant = ""] passes exhaustively. *)
 
@@ -47,11 +47,6 @@ val park_take_order : mutant:string -> Explorer.scenario
     [mutant = ""] passes exhaustively. Explore under {!Explorer.Chess}:
     the oracle reads vmem page residency, which step footprints do not
     see, so sleep-set pruning is unsound for this scenario. *)
-
-val shelf_transfer : Explorer.scenario
-(** Empty superblocks churning through the lock-free shelf (CAS push in
-    the trim racing CAS pop in the refill), with {!Hoard.check}'s shelf
-    validation as the post-run oracle. *)
 
 val deferred_remote_free : mutant:string -> Explorer.scenario
 (** Two remote flushes racing CAS pushes onto one heap's deferred free

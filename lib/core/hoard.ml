@@ -5,11 +5,9 @@ type heap = {
   lock : Platform.lock;
   sh : Alloc_stats.shard;
   ring : Event_ring.t option; (* same lock domain as [sh]; None when tracing is off *)
-  rq_lock : Platform.lock; (* innermost lock: never held while acquiring any other *)
-  mutable rq_blocks : (Superblock.t * int) list; (* remote frees pending a drain, newest first *)
-  mutable rq_len : int;
-  (* cfg.deferred: the unbounded deferred free list replacing the bounded
-     queue above — producers CAS-push, the owner exchange-reclaims. *)
+  (* The unbounded deferred free list returning remote frees to this
+     heap: producers CAS-push, the owner exchange-reclaims. Built when the
+     front end is on (and for heap 0 under the lock-free global index). *)
   dfl : Deferred_list.t option;
 }
 
@@ -56,11 +54,6 @@ type t = {
      path, held here (as well as inside [large]) for check/introspection. *)
   lcache : Large_cache.t option;
   reservoir : Sb_reservoir.t option; (* cfg.reservoir > 0: the empty-superblock parking lot *)
-  (* cfg.shelf > 0: lock-free stack of empty superblocks in front of the
-     global heap. Trim pushes an empty victim, refill pops — one CAS each,
-     no global lock. Shelved superblocks stay registered, resident and
-     owned by heap 0, so they remain inside the held/resident envelopes. *)
-  shelf : Superblock.t Lockfree.t option;
   (* cfg.global = Lockfree: heap 0's Dlist fullness groups are replaced by
      the CAS-published fullness index — its core stays empty, its lock is
      never taken on the transfer path, and frees into global superblocks
@@ -68,7 +61,6 @@ type t = {
   gindex : Global_index.t option;
   obs : Obs.t option;
   fe : int; (* cached [cfg.front_end]; 0 = the paper's exact algorithm *)
-  rq_cap : int;
   tcaches : tcache IntMap.t Atomic.t; (* tid -> cache; replaced under [tc_mu] *)
   tc_mu : Mutex.t; (* host mutex: serialises tcache creation, zero simulated cost *)
   creator_did : int; (* domain that built [t]; its threads skip at-exit hooks *)
@@ -112,16 +104,15 @@ let create ?(config = Hoard_config.default) ?obs pf =
     | Some o -> Some (Obs.new_ring o name)
   in
   (* The lock-free structures share one contention counter and one mutant
-     switch each: "reservoir-no-aba" freezes the ABA tag of the reservoir
-     and the shelf (they run the same protocol), "large-cache-no-aba"
-     that of the large cache, "deferred-lost-node" drops a deferred
-     push's CAS retry. *)
+     switch each: "reservoir-no-aba" freezes the ABA tag of the reservoir,
+     "large-cache-no-aba" that of the large cache, "deferred-lost-node"
+     drops a deferred push's CAS retry. *)
   let aba_tag = config.mutant <> "reservoir-no-aba" in
   (* Every lock-free structure gets its own labelled retry hook, so the
      unified alloc.cas_retries total breaks down per structure in exports. *)
   let retry label = Alloc_stats.retry_hook stats ~label in
   let lockfree_global = config.global = Hoard_config.Lockfree in
-  let use_dfl = (config.deferred && config.front_end > 0) || lockfree_global in
+  let use_dfl = config.front_end > 0 || lockfree_global in
   let deferred_retry = if use_dfl then retry "deferred" else fun () -> () in
   let mk_heap id =
     {
@@ -129,15 +120,12 @@ let create ?(config = Hoard_config.default) ?obs pf =
       lock = pf.Platform.new_lock (Printf.sprintf "hoard.heap%d" id);
       sh = Alloc_stats.shard stats id;
       ring = ring (if id = 0 then "global" else Printf.sprintf "heap%d" id);
-      rq_lock = pf.Platform.new_lock (Printf.sprintf "hoard.rfq%d" id);
-      rq_blocks = [];
-      rq_len = 0;
       dfl =
         (* The deferred list is the front end's eviction channel; without
            a front end nothing would ever push, so it is not built — except
            heap 0's under the lock-free global index, where it is the
            universal no-lock channel for frees into global superblocks. *)
-        (if (config.deferred && config.front_end > 0) || (id = 0 && lockfree_global) then
+        (if config.front_end > 0 || (id = 0 && lockfree_global) then
            Some
              (Deferred_list.create pf
                 ~name:(Printf.sprintf "hoard.dfl%d" id)
@@ -173,10 +161,6 @@ let create ?(config = Hoard_config.default) ?obs pf =
         (if config.reservoir > 0 then
            Some (Sb_reservoir.create ~aba_tag ~on_retry:(retry "reservoir") pf ~cap:config.reservoir)
          else None);
-      shelf =
-        (if config.shelf > 0 then
-           Some (Lockfree.create pf ~name:"hoard.shelf" ~cap:config.shelf ~aba_tag ~on_retry:(retry "shelf") ())
-         else None);
       gindex =
         (if lockfree_global then
            Some
@@ -188,7 +172,6 @@ let create ?(config = Hoard_config.default) ?obs pf =
          else None);
       obs;
       fe = config.front_end;
-      rq_cap = config.remote_queue_cap;
       tcaches = Atomic.make IntMap.empty;
       tc_mu = Mutex.create ();
       creator_did = (Domain.self () :> int);
@@ -352,73 +335,12 @@ let publish_global t h gi sb =
   Alloc_stats.on_transfer_to_global h.sh;
   event t h Event_ring.Sb_to_global ~sclass ~arg:(Superblock.base sb)
 
-(* Return queued remote frees to [h]'s core. Caller holds [h]'s lock; the
-   queue lock is innermost, so the swap can never deadlock. A block whose
-   superblock migrated since it was enqueued is forwarded to the current
-   owner's queue — but boundedly: forwarding past the cap used to grow
-   queues without limit (a drain could keep re-inflating its peers), so a
-   forward is accepted only up to 2x the cap and counted; rejects land on
-   [spill] for the caller to route through the classic locked path
-   ([dispose_batch]) AFTER releasing [h]'s lock — taking another heap's
-   lock here would invert the lock order. Returns the number of blocks
-   freed into [h]. *)
-let drain_rq t h ~spill =
-  if h.rq_len = 0 then 0
-  else begin
-    h.rq_lock.acquire ();
-    let items = h.rq_blocks in
-    h.rq_blocks <- [];
-    h.rq_len <- 0;
-    h.rq_lock.release ();
-    let mine = ref 0 and forwarded = ref 0 in
-    List.iter
-      (fun (sb, addr) ->
-        let owner_id = Superblock.owner sb in
-        if owner_id = Heap_core.id h.core then begin
-          t.pf.Platform.write ~addr ~len:8;
-          Superblock.clear_cached sb addr;
-          Heap_core.free h.core sb addr;
-          touch_header t sb;
-          Alloc_stats.on_drain h.sh ~usable:(Superblock.block_size sb);
-          incr mine
-        end
-        else if owner_id = 0 && t.gindex <> None then begin
-          (* Migrated to the lock-free global heap: its deferred list is
-             the universal owner-0 channel — one CAS, never heap 0's
-             lock or queue. *)
-          (match t.global.dfl with
-           | Some dfl -> Deferred_list.push dfl sb addr
-           | None -> assert false (* the lock-free index forces heap 0's list *));
-          incr forwarded;
-          event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
-        end
-        else begin
-          let h' = heap_by_id t owner_id in
-          h'.rq_lock.acquire ();
-          let accepted = h'.rq_len < 2 * t.rq_cap in
-          if accepted then begin
-            h'.rq_blocks <- (sb, addr) :: h'.rq_blocks;
-            h'.rq_len <- h'.rq_len + 1
-          end;
-          h'.rq_lock.release ();
-          if accepted then begin
-            incr forwarded;
-            event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
-          end
-          else spill := (sb, addr) :: !spill
-        end)
-      items;
-    if !forwarded > 0 then Alloc_stats.on_remote_forward h.sh ~blocks:!forwarded;
-    if !mine > 0 then event t h Event_ring.Remote_drain ~sclass:0 ~arg:!mine;
-    !mine
-  end
-
 (* Owner side of the deferred protocol: one exchange detaches the whole
    list, then every block is freed into [h]'s core. A block whose
    superblock migrated since its push is re-pushed onto the CURRENT
-   owner's list — one CAS; the list is unbounded, so unlike the bounded
-   queues, forwarding can neither cascade nor spill into the locked
-   path. Caller holds [h]'s lock. *)
+   owner's list — one CAS; the list is unbounded, so forwarding can
+   neither cascade nor spill into the locked path. Caller holds [h]'s
+   lock. *)
 let reclaim_deferred t h =
   match h.dfl with
   | None -> 0
@@ -441,7 +363,7 @@ let reclaim_deferred t h =
            else begin
              (match (heap_by_id t owner_id).dfl with
               | Some dfl' -> Deferred_list.push dfl' sb addr
-              | None -> assert false (* deferred mode builds a list per heap *));
+              | None -> assert false (* the front end builds a list per heap *));
              incr forwarded;
              event t h Event_ring.Remote_forward ~sclass:(Superblock.sclass sb) ~arg:addr
            end)
@@ -450,11 +372,6 @@ let reclaim_deferred t h =
        Alloc_stats.on_deferred_reclaim h.sh;
        event t h Event_ring.Deferred_reclaim ~sclass:0 ~arg:!mine;
        !mine)
-
-(* Return every pending remote free to [h]'s core: the deferred list when
-   configured, the bounded queue otherwise (both, during a transition,
-   costs one extra branch). Caller holds [h]'s lock. *)
-let drain_pending t h ~spill = reclaim_deferred t h + drain_rq t h ~spill
 
 (* Reclaim heap 0's deferred list through the lock-free index: one
    exchange detaches it, then each block runs the Busy handshake — no
@@ -474,11 +391,16 @@ let reclaim_global_lockfree t h gi ~spill =
        List.iter
          (fun (sb, addr) ->
            Superblock.clear_cached sb addr;
+           (* Read the block size while our live block still pins the
+              superblock: once [free_block] republishes it, the writes
+              below yield, and a claimer may reformat a now-empty member
+              for another class before the drain is charged. *)
+           let usable = Superblock.block_size sb in
            match Global_index.free_block gi sb ~addr with
            | Global_index.Freed { now_empty = _ } ->
              t.pf.Platform.write ~addr ~len:8;
              touch_header t sb;
-             Alloc_stats.on_drain h.sh ~usable:(Superblock.block_size sb);
+             Alloc_stats.on_drain h.sh ~usable;
              incr mine
            | Global_index.Requeue ->
              (* Another reclaimer holds the superblock Busy; hand the
@@ -501,28 +423,10 @@ let reclaim_global_lockfree t h gi ~spill =
        end;
        !mine)
 
-(* Fetch a superblock usable for [sclass]: off the lock-free shelf (one
-   CAS, no global lock) when one is stocked, else from the global heap,
-   the reservoir, or the OS, and insert it into [h] (whose lock the
-   caller holds). *)
+(* Fetch a superblock usable for [sclass] from the global heap, the
+   reservoir, or the OS, and insert it into [h] (whose lock the caller
+   holds). *)
 let refill t h ~sclass ~block_size ~spill =
-  let from_shelf () =
-    match t.shelf with
-    | None -> None
-    | Some shelf ->
-      (match Lockfree.pop shelf with
-       | None -> None
-       | Some sb ->
-         (* The pop made the superblock private to us (owner still 0; the
-            [Heap_core.insert] below flips it under our held lock, the
-            same handoff discipline as the global path). It is empty by
-            the shelf's invariant, so a class change is a plain reinit. *)
-         if Superblock.sclass sb <> sclass || Superblock.block_size sb <> block_size then
-           Superblock.reinit sb ~sclass ~block_size;
-         Alloc_stats.on_shelf_pop h.sh;
-         event t h Event_ring.Shelf_pop ~sclass ~arg:(Superblock.base sb);
-         Some sb)
-  in
   let from_global () =
     match t.gindex with
     | Some gi ->
@@ -542,7 +446,7 @@ let refill t h ~sclass ~block_size ~spill =
       t.global.lock.acquire ();
       (* Pending frees may hand the global heap exactly the superblock we
          are about to ask for. *)
-      ignore (drain_pending t t.global ~spill);
+      ignore (reclaim_deferred t t.global);
       let sb = Heap_core.take_for_class t.global.core ~sclass in
       (* Flip ownership before releasing the global lock: a concurrent free
          must either see the old owner (and retry against our heap lock,
@@ -575,26 +479,23 @@ let refill t h ~sclass ~block_size ~spill =
          Some sb)
   in
   let sb =
-    match from_shelf () with
-    | Some sb -> sb
+    match from_global () with
+    | Some sb ->
+      if Superblock.is_empty sb && (Superblock.sclass sb <> sclass || Superblock.block_size sb <> block_size) then
+        Superblock.reinit sb ~sclass ~block_size;
+      Alloc_stats.on_transfer_from_global h.sh;
+      event t h Event_ring.Sb_from_global ~sclass ~arg:(Superblock.base sb);
+      sb
     | None ->
-      (match from_global () with
-       | Some sb ->
-         if Superblock.is_empty sb && (Superblock.sclass sb <> sclass || Superblock.block_size sb <> block_size)
-         then Superblock.reinit sb ~sclass ~block_size;
-         Alloc_stats.on_transfer_from_global h.sh;
-         event t h Event_ring.Sb_from_global ~sclass ~arg:(Superblock.base sb);
-         sb
+      (match from_reservoir () with
+       | Some sb -> sb
        | None ->
-         (match from_reservoir () with
-          | Some sb -> sb
-          | None ->
-            let base = t.pf.Platform.page_map ~bytes:t.cfg.sb_size ~align:t.cfg.sb_size ~owner:t.owner in
-            let sb = Superblock.create ~base ~sb_size:t.cfg.sb_size ~sclass ~block_size in
-            Sb_registry.register t.reg sb;
-            Alloc_stats.on_map t.stats ~bytes:t.cfg.sb_size;
-            event t h Event_ring.Sb_map ~sclass ~arg:t.cfg.sb_size;
-            sb))
+         let base = t.pf.Platform.page_map ~bytes:t.cfg.sb_size ~align:t.cfg.sb_size ~owner:t.owner in
+         let sb = Superblock.create ~base ~sb_size:t.cfg.sb_size ~sclass ~block_size in
+         Sb_registry.register t.reg sb;
+         Alloc_stats.on_map t.stats ~bytes:t.cfg.sb_size;
+         event t h Event_ring.Sb_map ~sclass ~arg:t.cfg.sb_size;
+         sb)
   in
   Heap_core.insert h.core sb;
   touch_header t sb
@@ -621,7 +522,7 @@ let rec lock_owner t sb =
     end
   end
 
-(* The paper's post-free bookkeeping, factored so queue drains share it.
+(* The paper's post-free bookkeeping, factored so deferred reclaims share it.
    Caller holds [h]'s lock. With [deep] (drains return many blocks at
    once), keep transferring until the invariant is restored; without it,
    move at most ONE at-least-f-empty superblock to the global heap — one
@@ -638,49 +539,27 @@ let trim_heap ?(deep = false) t h ~sclass =
       (match Heap_core.pick_victim ~protect_last:true h.core ~max_fullness:(1.0 -. t.cfg.empty_fraction) with
        | None -> continue_ := false
        | Some victim ->
-         (* An EMPTY victim takes the non-blocking route when a shelf is
-            configured: flip its owner to the global heap while it is
-            still private (the pick removed it from [h]; nothing else can
-            reach it — it has no live blocks), then publish with one CAS.
-            Partial victims, and empties bouncing off a full shelf, go
-            through the classic locked global-heap transfer. *)
-         let shelved =
-           match t.shelf with
-           | Some shelf when Superblock.is_empty victim ->
-             Superblock.set_owner victim 0;
-             touch_header t victim;
-             if Lockfree.push shelf victim then begin
-               Alloc_stats.on_shelf_push h.sh;
-               event t h Event_ring.Shelf_push ~sclass:(Superblock.sclass victim)
-                 ~arg:(Superblock.base victim);
-               true
-             end
-             else false
-           | _ -> false
-         in
-         if not shelved then begin
-           match t.gindex with
-           | Some gi ->
-             (* The non-blocking transfer: one index publish, any
-                fullness, never heap 0's lock. *)
-             publish_global t h gi victim;
-             maybe_release_global t h gi
-           | None ->
-             t.global.lock.acquire ();
-             Heap_core.insert t.global.core victim;
-             touch_header t victim;
-             Alloc_stats.on_transfer_to_global t.global.sh;
-             event t t.global Event_ring.Sb_to_global ~sclass:(Superblock.sclass victim)
-               ~arg:(Superblock.base victim);
-             release_surplus t;
-             t.global.lock.release ()
-         end);
+         (match t.gindex with
+          | Some gi ->
+            (* The non-blocking transfer: one index publish, any
+               fullness, never heap 0's lock. *)
+            publish_global t h gi victim;
+            maybe_release_global t h gi
+          | None ->
+            t.global.lock.acquire ();
+            Heap_core.insert t.global.core victim;
+            touch_header t victim;
+            Alloc_stats.on_transfer_to_global t.global.sh;
+            event t t.global Event_ring.Sb_to_global ~sclass:(Superblock.sclass victim)
+              ~arg:(Superblock.base victim);
+            release_surplus t;
+            t.global.lock.release ()));
       if not deep then continue_ := false
     done
   end
 
-(* Classic locked disposal of blocks already counted as freed (they sat
-   in a cache or overflowed a queue), batched: one heap-lock acquisition
+(* Classic locked disposal of blocks already counted as freed (a
+   lock-free reclaim found their superblock owned by a heap), batched: one heap-lock acquisition
    covers every block with the same current owner; blocks that migrate
    mid-round are retried next round. The first block's owner is pinned by
    [lock_owner], so every round frees at least one block. *)
@@ -720,80 +599,31 @@ let rec dispose_batch t pairs =
        h.lock.release ();
        dispose_batch t !later)
 
-(* Route cache-evicted blocks out. Deferred mode: partition by the owner
-   observed now and publish each group as one pre-linked chain — a single
-   CAS per owner heap instead of one per block, no queue lock, no cap, no
-   locked fallback; a block whose superblock migrates between the owner
-   read and the push just lands on the stale owner's list, whose reclaim
-   forwards it. Queue mode: partition by owner, push each group onto its
-   owner's remote-free queue in one innermost-lock critical section, and
-   hand whatever the caps reject to the classic locked path in one batch. *)
+(* Route cache-evicted blocks out: partition by the owner observed now
+   and publish each group onto the owner heap's deferred list as one
+   pre-linked chain — a single CAS per owner heap instead of one per
+   block, no lock, no cap, no locked fallback. A block whose superblock
+   migrates between the owner read and the push just lands on the stale
+   owner's list, whose reclaim forwards it. *)
 let surrender_many t tc pairs =
-  if t.cfg.deferred then begin
-    let groups = Array.make (Array.length t.heaps + 1) [] in
-    List.iter
-      (fun (addr, sb) -> groups.(Superblock.owner sb) <- (sb, addr) :: groups.(Superblock.owner sb))
-      pairs;
-    Array.iteri
-      (fun id group ->
-        match group with
-        | [] -> ()
-        | _ ->
-          (match (heap_by_id t id).dfl with
-           | Some dfl -> Deferred_list.push_many dfl group
-           | None -> assert false (* deferred mode builds a list per heap *));
-          List.iter
-            (fun (sb, addr) ->
-              Alloc_stats.on_deferred_enqueue tc.tc_sh;
-              event_tc t tc Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
-            group)
-      groups
-  end
-  else begin
   let groups = Array.make (Array.length t.heaps + 1) [] in
   List.iter
     (fun (addr, sb) -> groups.(Superblock.owner sb) <- (sb, addr) :: groups.(Superblock.owner sb))
     pairs;
-  let overflow = ref [] in
   Array.iteri
     (fun id group ->
       match group with
       | [] -> ()
-      | _ when id = 0 && t.gindex <> None ->
-        (* Queue mode, lock-free global heap: heap 0 has no drained queue,
-           so owner-0 evictions go to its deferred list — one pre-linked
-           CAS, no cap, no locked fallback. *)
-        (match t.global.dfl with
+      | _ ->
+        (match (heap_by_id t id).dfl with
          | Some dfl -> Deferred_list.push_many dfl group
-         | None -> assert false (* the lock-free index forces heap 0's list *));
+         | None -> assert false (* the front end builds a list per heap *));
         List.iter
           (fun (sb, addr) ->
             Alloc_stats.on_deferred_enqueue tc.tc_sh;
             event_tc t tc Event_ring.Deferred_enqueue ~sclass:(Superblock.sclass sb) ~arg:addr)
-          group
-      | (sb0, _) :: _ ->
-        let h = heap_by_id t id in
-        h.rq_lock.acquire ();
-        let accepted = ref 0 in
-        let room = ref (t.rq_cap - h.rq_len) in
-        List.iter
-          (fun (sb, addr) ->
-            if !room > 0 then begin
-              decr room;
-              h.rq_blocks <- (sb, addr) :: h.rq_blocks;
-              h.rq_len <- h.rq_len + 1;
-              incr accepted
-            end
-            else overflow := (sb, addr) :: !overflow)
-          group;
-        h.rq_lock.release ();
-        if !accepted > 0 then begin
-          Alloc_stats.on_remote_enqueue tc.tc_sh ~blocks:!accepted;
-          event_tc t tc Event_ring.Remote_enqueue ~sclass:(Superblock.sclass sb0) ~arg:!accepted
-        end)
-    groups;
-  dispose_batch t !overflow
-  end
+          group)
+    groups
 
 (* Evict the oldest half of an overflowing class so the next [fe/2] frees
    stay lock-free. *)
@@ -896,7 +726,7 @@ let malloc_fill t tc ~size ~sclass ~block_size =
   let h = my_heap t in
   let spill = ref [] in
   h.lock.acquire ();
-  let drained = drain_pending t h ~spill in
+  let drained = reclaim_deferred t h in
   let want = (t.fe / 2) + 1 in
   let blocks = ref [] and got = ref 0 in
   while !got < want do
@@ -929,8 +759,8 @@ let malloc_fill t tc ~size ~sclass ~block_size =
   if drained > 0 then trim_heap ~deep:true t h ~sclass;
   t.pf.Platform.write ~addr ~len:8;
   h.lock.release ();
-  (* Spilled forwards (a drain met an over-full peer queue) take the
-     locked path only now, with no heap lock held. *)
+  (* Spilled forwards (the lock-free reclaim found a heap owning the
+     superblock) take the locked path only now, with no heap lock held. *)
   if !spill <> [] then dispose_batch t !spill;
   addr
 
@@ -996,7 +826,7 @@ let malloc_many t n size =
       let h = my_heap t in
       let spill = ref [] in
       h.lock.acquire ();
-      ignore (drain_pending t h ~spill);
+      ignore (reclaim_deferred t h);
       let out = Array.make n 0 and got = ref 0 in
       while !got < n do
         match Heap_core.malloc_batch h.core ~sclass ~block_size ~n:(n - !got) with
@@ -1024,8 +854,8 @@ let free_now t addr =
     if t.fe > 0 then begin
       let tc = tcache t in
       let sclass = Superblock.sclass sb in
-      (* A block absorbed by ANY thread's cache (or parked on a remote
-         queue) stays bitmap-live, so liveness alone cannot catch a second
+      (* A block absorbed by ANY thread's cache (or parked on a deferred
+         list) stays bitmap-live, so liveness alone cannot catch a second
          free — and scanning only the caller's own cache missed the
          cross-thread case entirely. The superblock's custody bit is the
          shared O(1) record of "freed but still cached", whoever holds
@@ -1214,8 +1044,8 @@ let quarantine_length t =
     Mutex.unlock s.q_mu;
     n
 
-(* In-thread flush: cache out to the owners' queues, then drain and trim
-   the calling thread's own heap. *)
+(* In-thread flush: cache out to the owners' deferred lists, then drain
+   and trim the calling thread's own heap. *)
 let flush t =
   drain_quarantine t;
   if t.fe > 0 then
@@ -1232,7 +1062,7 @@ let flush t =
     let h = my_heap t in
     let spill = ref [] in
     h.lock.acquire ();
-    if drain_pending t h ~spill > 0 then trim_heap ~deep:true t h ~sclass:0;
+    if reclaim_deferred t h > 0 then trim_heap ~deep:true t h ~sclass:0;
     (match t.gindex with
      | Some gi ->
        ignore (reclaim_global_lockfree t h gi ~spill);
@@ -1268,9 +1098,8 @@ let on_thread_exit t =
     | None -> ()
   end;
   let h = my_heap t in
-  let spill = ref [] in
   h.lock.acquire ();
-  ignore (drain_pending t h ~spill);
+  ignore (reclaim_deferred t h);
   let orphans = ref [] in
   Heap_core.iter h.core (fun sb -> orphans := sb :: !orphans);
   List.iter
@@ -1314,10 +1143,9 @@ let on_thread_exit t =
          release_surplus t;
          t.global.lock.release ()
        end);
-  h.lock.release ();
-  if !spill <> [] then dispose_batch t !spill
+  h.lock.release ()
 
-(* Quiescent-only: returns every cached and queued block straight to the
+(* Quiescent-only: returns every cached and deferred block straight to the
    heap cores WITHOUT platform locks, costs or events (on the simulated
    platform those are effects, usable only inside simulated threads).
    Afterwards live bytes equal program-held bytes exactly, and the
@@ -1374,18 +1202,14 @@ let flush_caches t =
             List.iter (fun (addr, sb) -> dispose (sb, addr)) stack)
         tc.tc_slots)
     (Atomic.get t.tcaches);
+  (* The quiescent drain uses charge-free peek/poke, so it is cost- and
+     schedule-invisible. *)
   let take h =
-    let items = h.rq_blocks in
-    h.rq_blocks <- [];
-    h.rq_len <- 0;
     match h.dfl with
-    | None -> items
-    | Some dfl ->
-      (* The quiescent drain uses charge-free peek/poke, so it is as
-         cost- and schedule-invisible as the queue grab above. *)
-      List.rev_append (Deferred_list.drain_quiescent dfl) items
+    | None -> []
+    | Some dfl -> Deferred_list.drain_quiescent dfl
   in
-  (* At quiescence owners are stable, so one pass routes every queued
+  (* At quiescence owners are stable, so one pass routes every deferred
      block to its final heap. *)
   List.iter dispose (take t.global);
   Array.iter (fun h -> List.iter dispose (take h)) t.heaps;
@@ -1484,17 +1308,6 @@ let heap_info t id =
 let cache_counts t =
   List.rev (IntMap.fold (fun tid tc acc -> (tid, Array.copy tc.tc_count) :: acc) (Atomic.get t.tcaches) [])
 
-let remote_queue_lengths t =
-  Array.init
-    (Array.length t.heaps + 1)
-    (fun id ->
-      let h = heap_by_id t id in
-      h.rq_len
-      +
-      match h.dfl with
-      | None -> 0
-      | Some dfl -> Deferred_list.length dfl)
-
 let deferred_lengths t =
   Array.init
     (Array.length t.heaps + 1)
@@ -1520,11 +1333,6 @@ let reservoir_length t =
   match t.reservoir with
   | None -> 0
   | Some res -> Sb_reservoir.length res
-
-let shelf_length t =
-  match t.shelf with
-  | None -> 0
-  | Some shelf -> Lockfree.length shelf
 
 let check t =
   Heap_core.check t.global.core;
@@ -1557,30 +1365,11 @@ let check t =
   in
   if total_u + Locked_large.live_bytes t.large <> s.live_bytes then
     failwith "Hoard.check: live-bytes accounting mismatch";
-  (* Shelf invariants (quiescent walk via charge-free peeks; [Lockfree.iter]
-     itself rejects in-flight operations, cycles and duplicate slots — the
-     structural signature of a lost ABA tag): every shelved superblock is
-     empty, still registered and resident (shelving is a transfer, not a
-     release), owned by the global heap, within the cap. *)
-  (match t.shelf with
-   | None -> ()
-   | Some shelf ->
-     let n = ref 0 in
-     Lockfree.iter shelf (fun sb ->
-         incr n;
-         if not (Superblock.is_empty sb) then failwith "Hoard.check: shelved superblock has live blocks";
-         if Superblock.owner sb <> 0 then failwith "Hoard.check: shelved superblock not owned by heap 0";
-         let base = Superblock.base sb in
-         if Sb_registry.lookup t.reg ~addr:(base + Superblock.header_bytes) = None then
-           failwith "Hoard.check: shelved superblock not registered";
-         if t.pf.Platform.page_residency ~addr:base <> Vmem.Resident then
-           failwith "Hoard.check: shelved superblock not resident");
-     if !n > Lockfree.cap shelf then failwith "Hoard.check: shelf over capacity");
   (* Deferred free lists (quiescent structural walk; [Deferred_list.iter]
      itself rejects cycles, payload-less nodes and length drift): every
      listed block is bitmap-live and custody-marked in its superblock —
      it stays charged to the owning heap until the owner's reclaim,
-     exactly like a queued block. *)
+     exactly like a cached block. *)
   let check_dfl h =
     match h.dfl with
     | None -> ()

@@ -24,22 +24,16 @@
     thread keeps a cache of up to [K] block addresses per size class.
     malloc pops and free pushes with no lock at all; misses and overflows
     move [K/2] blocks per heap-lock acquisition, and blocks evicted from a
-    cache are batched onto the owning heap's remote-free queue (one
-    innermost queue lock) for the owner to drain on its next locked slow
-    path. Cached and queued blocks stay charged to the heap that owns
-    their superblock, so the emptiness invariant, the blowup bound and
-    {!check} are unchanged — the cost is up to
-    [K * P * classes + remote_queue_cap * (P+1)] blocks of memory parked
-    in flight. [front_end = 0] is bit-for-bit the paper's algorithm.
-
-    {b Deferred frees} ([config.deferred], needs the front end): each
-    heap's bounded remote-free queue is replaced by an unbounded
-    intrusive {!Deferred_list} — eviction pushes the block itself with
-    one CAS on the owner's list head (no queue lock, no cap, no locked
+    cache go to the owning heap's unbounded intrusive {!Deferred_list}:
+    one CAS per owner per eviction batch (no lock, no cap, no locked
     fallback), and the owner detaches the whole list with a single
     exchange on its next fill/flush, batching the blocks back through
-    the heap core. The charging discipline is the queue's, so every
-    invariant above still holds exactly.
+    the heap core. Cached and deferred blocks stay charged to the heap
+    that owns their superblock, so the emptiness invariant, the blowup
+    bound and {!check} are unchanged — the cost is the blocks parked in
+    flight: up to [K * P * classes] in the caches, plus at most one
+    eviction batch per producer on the deferred lists between two
+    reclaims. [front_end = 0] is bit-for-bit the paper's algorithm.
 
     {b Large cache} ([config.large_cache = C > 0]): a lock-free MPSC
     {!Large_cache} fronts the large-object path — freed regions of up
@@ -97,7 +91,7 @@ val invariant_holds : t -> heap_id:int -> bool
 
 val check : t -> unit
 (** Deep structural validation of every heap. Exact even while front-end
-    caches and remote-free queues hold blocks (they stay charged to their
+    caches and deferred lists hold blocks (they stay charged to their
     owning heaps). *)
 
 val on_thread_exit : t -> unit
@@ -115,7 +109,7 @@ val on_thread_exit : t -> unit
 
 val flush_caches : t -> unit
 (** Quiescent-only: returns every block held in thread caches and
-    remote-free queues to its owning heap core, then re-establishes the
+    deferred lists to its owning heap core, then re-establishes the
     emptiness invariant. Touches no platform locks, charges no costs and
     records no events, so it is callable from outside any simulated
     thread (after a run, before reading exact figures). Live bytes equal
@@ -125,13 +119,10 @@ val cache_counts : t -> (int * int array) list
 (** Per thread id (ascending), the per-class number of cached blocks.
     Lock-free reads; call at quiescence. *)
 
-val remote_queue_lengths : t -> int array
-(** Pending remote-free count per heap (bounded queue plus deferred
-    list), index 0 = global. Lock-free reads; call at quiescence. *)
-
 val deferred_lengths : t -> int array
 (** Blocks currently parked on each heap's deferred free list, index 0 =
-    global (all zeros without [config.deferred]). Lock-free reads; call
+    global (all zeros without the front end or the lock-free global
+    heap). Lock-free reads; call
     at quiescence. *)
 
 val large_cache_length : t -> int
@@ -141,11 +132,6 @@ val large_cache_length : t -> int
 val reservoir_length : t -> int
 (** Superblocks currently parked in the reservoir (0 when
     [config.reservoir = 0]). Lock-free read; exact at quiescence. *)
-
-val shelf_length : t -> int
-(** Empty superblocks currently on the lock-free shelf in front of the
-    global heap (0 when [config.shelf = 0]). Lock-free read; exact at
-    quiescence. *)
 
 val pp_heaps : Format.formatter -> t -> unit
 (** Human-readable dump of every heap: per size class, the superblock

@@ -27,12 +27,9 @@ type t = {
   release_to_os : bool;
   release_threshold : int;
   reservoir : int;
-  shelf : int;
   vmem_backend : Vmem_backend.kind;
   path_work : int;
   front_end : int;
-  remote_queue_cap : int;
-  deferred : bool;
   large_cache : int;
   global : global_mode;
   sanitize : bool;
@@ -65,12 +62,9 @@ let default =
     release_to_os = true;
     release_threshold = 4;
     reservoir = 0;
-    shelf = 0;
     vmem_backend = Vmem_backend.Exact;
     path_work = 30;
     front_end = 0;
-    remote_queue_cap = 256;
-    deferred = false;
     large_cache = 0;
     global = Locked;
     sanitize = false;
@@ -202,10 +196,6 @@ let knobs =
       ~get:(fun t -> t.reservoir)
       ~store:(fun t v -> { t with reservoir = v })
       ~check:(non_negative "reservoir");
-    int_knob "shelf" "Capacity of the lock-free empty-superblock shelf; 0 disables."
-      ~get:(fun t -> t.shelf)
-      ~store:(fun t v -> { t with shelf = v })
-      ~check:(non_negative "shelf");
     {
       k_name = "vmem";
       k_doc = "Address-space reuse policy: exact, first-fit or buddy.";
@@ -221,21 +211,13 @@ let knobs =
       ~get:(fun t -> t.path_work)
       ~store:(fun t v -> { t with path_work = v })
       ~check:(non_negative "path-work");
-    int_knob "front-end" "K: per-thread per-class cache capacity; 0 disables, else >= 2."
+    int_knob "front-end" "K: per-thread per-class cache capacity (evictions ride deferred lists); 0 disables, else >= 2."
       ~get:(fun t -> t.front_end)
       ~store:(fun t v -> { t with front_end = v })
       ~check:(fun v ->
         if v < 0 then Some "front-end must be non-negative"
         else if v > 0 && v < 2 then Some "front-end must be 0 or >= 2"
         else None);
-    int_knob "remote-queue-cap" "Capacity of each heap's bounded remote-free queue (ignored with deferred)."
-      ~get:(fun t -> t.remote_queue_cap)
-      ~store:(fun t v -> { t with remote_queue_cap = v })
-      ~check:(fun v -> if v < 1 then Some "remote-queue-cap must be >= 1" else None);
-    bool_knob "deferred"
-      "Replace the bounded remote-free queues with unbounded deferred lists (CAS push, exchange reclaim)."
-      ~get:(fun t -> t.deferred)
-      ~store:(fun t v -> { t with deferred = v });
     int_knob "large-cache" "Per-bucket capacity of the MPSC large-object cache; 0 disables."
       ~get:(fun t -> t.large_cache)
       ~store:(fun t v -> { t with large_cache = v })
@@ -310,8 +292,8 @@ let set t spec =
 let set_all t specs = List.fold_left set t specs
 
 let make ?(base = default) ?sb_size ?empty_fraction ?slack ?growth ?ngroups ?nheaps ?assign_by_tid
-    ?release_to_os ?release_threshold ?reservoir ?shelf ?vmem_backend ?path_work ?front_end
-    ?remote_queue_cap ?deferred ?large_cache ?global ?sanitize ?quarantine ?mutant () =
+    ?release_to_os ?release_threshold ?reservoir ?vmem_backend ?path_work ?front_end ?large_cache
+    ?global ?sanitize ?quarantine ?mutant () =
   let v field = function Some x -> x | None -> field in
   let t =
     {
@@ -325,12 +307,9 @@ let make ?(base = default) ?sb_size ?empty_fraction ?slack ?growth ?ngroups ?nhe
       release_to_os = v base.release_to_os release_to_os;
       release_threshold = v base.release_threshold release_threshold;
       reservoir = v base.reservoir reservoir;
-      shelf = v base.shelf shelf;
       vmem_backend = v base.vmem_backend vmem_backend;
       path_work = v base.path_work path_work;
       front_end = v base.front_end front_end;
-      remote_queue_cap = v base.remote_queue_cap remote_queue_cap;
-      deferred = v base.deferred deferred;
       large_cache = v base.large_cache large_cache;
       global = v base.global global;
       sanitize = v base.sanitize sanitize;

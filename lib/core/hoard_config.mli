@@ -55,15 +55,6 @@ type t = {
           commit. Overflow beyond R is unmapped as before, bounding
           residency by heap-held + R·S. 0 (the default) disables the
           reservoir, restoring the seed lifecycle. *)
-  shelf : int;
-      (** capacity (superblocks) of the lock-free empty-superblock shelf
-          sitting in front of the global heap. Emptiness-invariant trims
-          push an empty victim onto the shelf with one CAS instead of
-          taking the global lock, and a refill pops it the same way, so
-          the common empty-superblock round trip is non-blocking; partial
-          superblocks (and shelf overflow/underflow) still go through the
-          classic locked global-heap path. 0 (the default) disables the
-          shelf. *)
   vmem_backend : Vmem_backend.kind;
       (** reuse policy of the simulated address space underneath this
           allocator's platform. The config record is the single source of
@@ -78,21 +69,14 @@ type t = {
           cache serving malloc/free without lock traffic. 0 (the default)
           disables the front end entirely, restoring the paper's exact
           hot path; positive values must be at least 2 so that fills and
-          flushes can move [front_end / 2] blocks per lock acquisition. *)
-  remote_queue_cap : int;
-      (** capacity (blocks) of each heap's bounded remote-free queue. A
-          remote free finding the owner's queue full falls back to the
-          classic lock-the-owner free path. Only meaningful with
-          [front_end > 0]; ignored entirely under [deferred]. *)
-  deferred : bool;
-      (** replace each heap's bounded remote-free queue with an unbounded
-          intrusive deferred list: a remote free pushes the block onto the
-          owner's list with a single CAS (wait-free fast path, no
-          fallback to locking the owner), and the owner reclaims the
-          whole list with one exchange during its next fill/flush/trim,
-          batching the blocks back through the heap core so the emptiness
-          invariant and blowup envelope stay exact. Only meaningful with
-          [front_end > 0]. Default false. *)
+          flushes can move [front_end / 2] blocks per lock acquisition.
+          With the front end on, evicted blocks return to their owner
+          heap through its unbounded intrusive deferred list: one CAS
+          push per owner per eviction batch (no lock, no cap, no locked
+          fallback), and the owner reclaims the whole list with one
+          exchange on its next fill/flush, batching the blocks back
+          through the heap core so the emptiness invariant and blowup
+          envelope stay exact. *)
   large_cache : int;
       (** per-bucket capacity of the lock-free MPSC large-object cache in
           front of the large allocator: freed large regions are parked
@@ -130,7 +114,7 @@ val known_mutants : string list
     heap; ["emptiness-off-by-one"] makes the emptiness-invariant trim use
     K+1 while the invariant checker still demands K;
     ["reservoir-no-aba"] freezes the ABA tag of the lock-free reservoir
-    and shelf stacks, planting the classic Treiber pop-over-recycled-head
+    stack, planting the classic Treiber pop-over-recycled-head
     bug; ["park-before-decommit"] publishes a superblock to the reservoir
     BEFORE decommitting its pages, so a concurrent taker can recommit and
     reuse pages the parker then decommits out from under it;
@@ -160,12 +144,9 @@ val make :
   ?release_to_os:bool ->
   ?release_threshold:int ->
   ?reservoir:int ->
-  ?shelf:int ->
   ?vmem_backend:Vmem_backend.kind ->
   ?path_work:int ->
   ?front_end:int ->
-  ?remote_queue_cap:int ->
-  ?deferred:bool ->
   ?large_cache:int ->
   ?global:global_mode ->
   ?sanitize:bool ->

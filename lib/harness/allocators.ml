@@ -2,43 +2,12 @@ let front_end_default = 16
 
 let large_cache_default = 4
 
-let fe_config ?(front_end = front_end_default) () = Hoard_config.make ~front_end ()
-
-let df_config ?(front_end = front_end_default) ?(large_cache = large_cache_default) () =
-  Hoard_config.make ~front_end ~deferred:true ~large_cache ()
-
 let san_config ?(quarantine = 32) () = Hoard_config.make ~sanitize:true ~quarantine ()
 
 let res_config ?(reservoir = 8) ?(vmem_backend = Vmem_backend.First_fit) () =
   Hoard_config.make ~reservoir ~vmem_backend ()
 
-let shelf_config ?(shelf = 8) ?(reservoir = 8) () =
-  Hoard_config.make ~shelf ~reservoir ~front_end:front_end_default ()
-
-let gl_config ?(front_end = front_end_default) () =
-  Hoard_config.make ~front_end ~deferred:true ~global:Hoard_config.Lockfree ()
-
-let hoard_fe ?front_end () =
-  let config = fe_config ?front_end () in
-  let front_end = config.Hoard_config.front_end in
-  {
-    (Hoard.factory ~config ()) with
-    Alloc_intf.label = "hoard-fe";
-    description =
-      Printf.sprintf "hoard with the lock-free front end (%d cached blocks per class per thread)" front_end;
-  }
-
-let hoard_df ?front_end ?large_cache () =
-  let config = df_config ?front_end ?large_cache () in
-  let large_cache = config.Hoard_config.large_cache in
-  {
-    (Hoard.factory ~config ()) with
-    Alloc_intf.label = "hoard-df";
-    description =
-      Printf.sprintf
-        "hoard-fe plus deferred remote-free lists (CAS push, exchange reclaim) and the large-object cache (cap %d per bucket)"
-        large_cache;
-  }
+let gl_config ?(front_end = front_end_default) () = Hoard_config.make ~front_end ~global:Hoard_config.Lockfree ()
 
 let hoard_san ?quarantine () =
   let config = san_config ?quarantine () in
@@ -64,26 +33,17 @@ let hoard_res ?reservoir ?vmem_backend () =
         (Vmem_backend.kind_name vmem_backend);
   }
 
-let hoard_shelf ?shelf ?reservoir () =
-  let config = shelf_config ?shelf ?reservoir () in
-  let shelf = config.Hoard_config.shelf in
-  let reservoir = config.Hoard_config.reservoir in
-  {
-    (Hoard.factory ~config ()) with
-    Alloc_intf.label = "hoard-shelf";
-    description =
-      Printf.sprintf
-        "hoard with the lock-free shelf (cap %d) and reservoir (cap %d) in front of the global heap"
-        shelf reservoir;
-  }
-
 let hoard_gl ?front_end () =
   let config = gl_config ?front_end () in
+  let front_end = config.Hoard_config.front_end in
   {
     (Hoard.factory ~config ()) with
     Alloc_intf.label = "hoard-gl";
     description =
-      "hoard-df with the lock-free global heap: CAS-published fullness index, no heap-0 lock on any transfer";
+      Printf.sprintf
+        "hoard with the lock-free front end (%d cached blocks per class per thread), deferred remote-free lists and \
+         the lock-free global heap: CAS-published fullness index, no heap-0 lock on any transfer"
+        front_end;
   }
 
 let all () =
@@ -94,13 +54,12 @@ let all () =
     Private_ownership.factory ();
     Private_threshold.factory ();
     Hoard.factory ();
-    hoard_fe ();
-    hoard_df ();
+    hoard_gl ();
   ]
 
 (* Checking configurations: resolvable by [find] but excluded from [all]
-   (sweeps and comparison tables run the eight measurement allocators). *)
-let extras () = [ hoard_san (); hoard_res (); hoard_shelf (); hoard_gl () ]
+   (sweeps and comparison tables run the seven measurement allocators). *)
+let extras () = [ hoard_san (); hoard_res () ]
 
 let labels () = List.map (fun f -> f.Alloc_intf.label) (all ())
 
@@ -111,12 +70,9 @@ let find label = List.find_opt (fun f -> f.Alloc_intf.label = label) (all () @ e
    knobs to override. *)
 let base_config = function
   | "hoard" -> Some Hoard_config.default
-  | "hoard-fe" -> Some (fe_config ())
-  | "hoard-df" -> Some (df_config ())
+  | "hoard-gl" -> Some (gl_config ())
   | "hoard-san" -> Some (san_config ())
   | "hoard-res" -> Some (res_config ())
-  | "hoard-shelf" -> Some (shelf_config ())
-  | "hoard-gl" -> Some (gl_config ())
   | _ -> None
 
 let with_overrides f label =

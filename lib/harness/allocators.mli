@@ -2,15 +2,16 @@
     (the benchmark harness, the trace tooling and the experiment suite
     used to carry their own copies of this list).
 
-    [hoard] here is the paper-exact configuration ([front_end = 0]);
-    [hoard-fe] is the same allocator with the lock-free front end turned
-    on, registered separately so paper-fidelity sweeps never pick it up
-    by accident. *)
+    Hoard runs in two measurement configurations: [hoard] is the
+    paper-exact one ([front_end = 0], locked global heap), [hoard-gl]
+    the production one (front end, deferred remote-free lists, lock-free
+    global heap). [hoard-san] and [hoard-res] are checking
+    configurations for the sanitizer and the superblock reservoir. *)
 
 val all : unit -> Alloc_intf.factory list
 (** Every measurement factory, in presentation order. Checking
     configurations ({!extras}) are not included, so sweeps and tables
-    stay on the eight comparison allocators. *)
+    stay on the seven comparison allocators. *)
 
 val extras : unit -> Alloc_intf.factory list
 (** Checking configurations ([hoard-san], [hoard-res]); resolvable
@@ -36,19 +37,12 @@ val help : unit -> string
 (** One "label  description" line per factory, for [--allocator help]. *)
 
 val front_end_default : int
-(** Cache capacity [hoard-fe] registers with. *)
+(** Cache capacity [hoard-gl] registers with. *)
 
 val large_cache_default : int
-(** Per-bucket large-cache capacity [hoard-df] registers with. *)
-
-val hoard_fe : ?front_end:int -> unit -> Alloc_intf.factory
-(** A front-end-enabled hoard factory with an explicit capacity. *)
-
-val hoard_df : ?front_end:int -> ?large_cache:int -> unit -> Alloc_intf.factory
-(** [hoard-fe] plus the deferred remote-free lists
-    (see {!Hoard_config.t.deferred}: CAS push, exchange reclaim, no
-    owner-lock fallback) and the lock-free MPSC large-object cache
-    (see {!Hoard_config.t.large_cache}). *)
+(** Per-bucket large-object cache capacity the checking subjects that
+    cover {!Hoard_config.t.large_cache} run with ([hoard-gl] itself
+    registers without the cache). *)
 
 val hoard_san : ?quarantine:int -> unit -> Alloc_intf.factory
 (** A sanitizer-enabled hoard factory (see {!Hoard_config.t.sanitize}). *)
@@ -61,15 +55,10 @@ val hoard_res : ?reservoir:int -> ?vmem_backend:Vmem_backend.kind -> unit -> All
     own platform must honour [config.vmem_backend] when doing so
     (e.g. {!Runner.spec}'s [vmem_backend]). *)
 
-val hoard_shelf : ?shelf:int -> ?reservoir:int -> unit -> Alloc_intf.factory
-(** A hoard factory with the lock-free transfer path fully on: the
-    empty-superblock shelf (see {!Hoard_config.t.shelf}, default cap 8)
-    and the reservoir behind it, plus the front end — the configuration
-    where refills and trims of empty superblocks bypass the global lock
-    entirely. *)
-
 val hoard_gl : ?front_end:int -> unit -> Alloc_intf.factory
-(** [hoard-df] with the lock-free global heap (see
+(** The production configuration: the front end (default capacity
+    {!front_end_default}; evictions ride the deferred remote-free lists,
+    see {!Hoard_config.t.front_end}) with the lock-free global heap (see
     {!Hoard_config.t.global} = [Lockfree]): heap 0's Dlist fullness
     groups replaced by the CAS-published {!Global_index}, so superblock
     transfer in either direction — and frees into global superblocks —

@@ -1327,18 +1327,10 @@ let server_params profile scale =
   { Server_mix.default_params with Server_mix.profile; requests }
 
 (* The latency-tail comparison set: the paper's serial and
-   private-ownership baselines against the three Hoard configurations
-   whose whole purpose is the tail (base, lock-free front end, lock-free
-   shelf). *)
+   private-ownership baselines against the two Hoard configurations
+   (paper-exact and production). *)
 let server_allocators () =
-  [
-    Serial_alloc.factory ();
-    Private_ownership.factory ();
-    Hoard.factory ();
-    Allocators.hoard_fe ();
-    Allocators.hoard_df ();
-    Allocators.hoard_shelf ();
-  ]
+  [ Serial_alloc.factory (); Private_ownership.factory (); Hoard.factory (); Allocators.hoard_gl () ]
 
 let server_exp =
   let run scale ~procs =
@@ -1417,15 +1409,15 @@ let server_exp =
 
 (* --- registry --- *)
 
-(* --- the remote-free path: bounded queues vs deferred lists --- *)
+(* --- the remote-free path: owner-locked frees vs deferred lists --- *)
 
 (* The pipelined producer-consumer makes every free remote and concurrent
    with the owner's allocation burst, so this is where the remote-free
-   discipline shows: hoard-fe's bounded queues drain under the owner's
-   heap lock (and block the producer mid-burst), hoard-df's deferred
-   lists take one CAS per free and one exchange per reclaim. The
-   companion instrumented pass ([--metrics], obs_workload below) exports
-   the per-lock acquisition counts CI gates on. *)
+   discipline shows: paper hoard takes the owner's heap lock on every
+   remote free (and blocks the producer mid-burst), hoard-gl's deferred
+   lists take one CAS per eviction batch and one exchange per reclaim.
+   The companion instrumented pass ([--metrics], obs_workload below)
+   exports the per-lock acquisition counts CI gates on. *)
 let remote_exp =
   let run scale ~procs =
     let procs =
@@ -1433,15 +1425,15 @@ let remote_exp =
       | Some ps -> ps
       | None -> ( match scale with Quick -> [ 2; 8 ] | Full -> [ 2; 8; 14 ])
     in
-    let allocs = [ Allocators.hoard_fe (); Allocators.hoard_df () ] in
+    let allocs = [ Hoard.factory (); Allocators.hoard_gl () ] in
     let tbl =
-      Table.create ~title:"Remote frees: bounded queues (hoard-fe) vs deferred lists (hoard-df)"
+      Table.create ~title:"Remote frees: owner-locked frees (hoard) vs deferred lists (hoard-gl)"
         ~columns:
           [
             ("allocator", Table.Left);
             ("P", Table.Right);
             ("cycles", Table.Right);
-            ("rq enq", Table.Right);
+            ("locked remote", Table.Right);
             ("deferred enq", Table.Right);
             ("reclaims", Table.Right);
             ("blocks/reclaim", Table.Right);
@@ -1460,7 +1452,7 @@ let remote_exp =
                 alloc.Alloc_intf.label;
                 string_of_int p;
                 string_of_int r.Runner.r_cycles;
-                string_of_int s.Alloc_stats.remote_enqueues;
+                string_of_int s.Alloc_stats.remote_frees;
                 string_of_int s.Alloc_stats.deferred_enqueues;
                 string_of_int s.Alloc_stats.deferred_reclaims;
                 (if s.Alloc_stats.deferred_reclaims = 0 then "-"
@@ -1480,8 +1472,8 @@ let remote_exp =
     title = "Remote-free discipline";
     paper_ref = "beyond the paper: deferred remote frees";
     describe =
-      "pipelined producer-consumer (all frees remote, concurrent with the owner): bounded remote \
-       queues vs CAS-push deferred lists";
+      "pipelined producer-consumer (all frees remote, concurrent with the owner): owner-locked \
+       frees vs CAS-push deferred lists";
     run;
   }
 

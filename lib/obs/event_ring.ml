@@ -10,12 +10,8 @@ type kind =
   | Lock_acquire
   | Cache_hit
   | Cache_flush
-  | Remote_enqueue
-  | Remote_drain
   | Decommit
   | Recommit
-  | Shelf_push
-  | Shelf_pop
   | Remote_forward
   | Req_arrival
   | Req_done
@@ -29,11 +25,9 @@ type kind =
 
 let all_kinds =
   [ Sb_map; Sb_unmap; Sb_from_global; Sb_to_global; Emptiness_cross; Remote_free; Large_map; Large_unmap;
-    Lock_acquire; Cache_hit; Cache_flush; Remote_enqueue; Remote_drain; Decommit; Recommit; Shelf_push;
-    Shelf_pop; Remote_forward; Req_arrival; Req_done; Large_cache_hit; Deferred_enqueue; Deferred_reclaim;
-    Orphan_adopt; Global_push; Global_pop; Global_revalidate ]
-
-let nkinds = List.length all_kinds
+    Lock_acquire; Cache_hit; Cache_flush; Decommit; Recommit; Remote_forward; Req_arrival; Req_done;
+    Large_cache_hit; Deferred_enqueue; Deferred_reclaim; Orphan_adopt; Global_push; Global_pop;
+    Global_revalidate ]
 
 let kind_index = function
   | Sb_map -> 0
@@ -47,12 +41,8 @@ let kind_index = function
   | Lock_acquire -> 8
   | Cache_hit -> 9
   | Cache_flush -> 10
-  | Remote_enqueue -> 11
-  | Remote_drain -> 12
   | Decommit -> 13
   | Recommit -> 14
-  | Shelf_push -> 15
-  | Shelf_pop -> 16
   | Remote_forward -> 17
   | Req_arrival -> 18
   | Req_done -> 19
@@ -63,6 +53,10 @@ let kind_index = function
   | Global_push -> 24
   | Global_pop -> 25
   | Global_revalidate -> 26
+
+(* Codes are stable: exported traces carry them, so a retired kind's
+   code (11, 12, 15, 16) is never reused. *)
+let ncodes = 1 + List.fold_left (fun m k -> max m (kind_index k)) 0 all_kinds
 
 let kind_of_index = function
   | 0 -> Sb_map
@@ -76,12 +70,8 @@ let kind_of_index = function
   | 8 -> Lock_acquire
   | 9 -> Cache_hit
   | 10 -> Cache_flush
-  | 11 -> Remote_enqueue
-  | 12 -> Remote_drain
   | 13 -> Decommit
   | 14 -> Recommit
-  | 15 -> Shelf_push
-  | 16 -> Shelf_pop
   | 17 -> Remote_forward
   | 18 -> Req_arrival
   | 19 -> Req_done
@@ -106,12 +96,8 @@ let kind_name = function
   | Lock_acquire -> "lock_acquire"
   | Cache_hit -> "cache_hit"
   | Cache_flush -> "cache_flush"
-  | Remote_enqueue -> "remote_enqueue"
-  | Remote_drain -> "remote_drain"
   | Decommit -> "decommit"
   | Recommit -> "recommit"
-  | Shelf_push -> "shelf_push"
-  | Shelf_pop -> "shelf_pop"
   | Remote_forward -> "remote_forward"
   | Req_arrival -> "req_arrival"
   | Req_done -> "req_done"
@@ -150,7 +136,7 @@ let create ~capacity =
     e_heap = Array.make capacity 0;
     e_sclass = Array.make capacity 0;
     e_arg = Array.make capacity 0;
-    counts = Array.make nkinds 0;
+    counts = Array.make ncodes 0;
     n = 0;
   }
 

@@ -23,7 +23,7 @@
    Cross-thread traffic: a shared lock-protected exchange stack. Bodies
    occasionally post a block instead of freeing it and free a couple of
    peers' posts per round, so superblocks accumulate remote frees (and
-   remote-queue/deferred-list state) right when their owner exits. The
+   deferred-list state) right when their owner exits. The
    last thread to retire drains the exchange, keeping runs leak-free for
    the differential oracle's final live-set comparison. *)
 

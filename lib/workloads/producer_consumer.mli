@@ -22,9 +22,10 @@ val pipelined : ?params:params -> unit -> Workload_intf.t
 (** The double-buffered variant: one barrier per round, the producer
     filling one buffer while the consumer drains the other — so every
     free is remote and concurrent with the owner heap's allocation
-    burst. The adversarial schedule for the remote-free path: bounded
-    remote queues make the consumer contend for the owner's heap lock
-    mid-burst, deferred lists make each free one CAS. *)
+    burst. The adversarial schedule for the remote-free path: paper
+    Hoard's remote frees make the consumer contend for the owner's heap
+    lock mid-burst, the front end's deferred lists batch them into one
+    CAS per eviction. *)
 
 val phased : ?params:params -> unit -> Workload_intf.t
 (** The O(P) blowup adversary: threads take turns — in each round exactly

@@ -1,7 +1,12 @@
 (* calloc / realloc / aligned_alloc / the batch-and-flush extensions over
    every registered allocator, including the front-end hoard. *)
 
-let factories = Allocators.all ()
+(* The registry's measurement factories, plus the front end over the
+   locked global heap: not a registered factory, but still a supported
+   configuration ([--set front-end=N] on hoard). *)
+let factories =
+  let front_end = Hoard_config.make ~front_end:Allocators.front_end_default () in
+  Allocators.all () @ [ { (Hoard.factory ~config:front_end ()) with Alloc_intf.label = "hoard+front-end" } ]
 
 let with_alloc f k =
   let pf = Platform.host () in

@@ -113,10 +113,10 @@ let test_reservoir_churn_explored () =
          f.Explorer.f_message)
 
 (* ------------------------------------------------------------------ *)
-(* The lock-free transfer protocols (PR 6): the Treiber stack under the
-   reservoir and shelf, the park/take publication ordering, and the
-   shelf transfer path — real variants explored exhaustively, seeded
-   mutants caught with a minimized replayable schedule.                 *)
+(* The lock-free reservoir protocols: the Treiber stack under the
+   reservoir and the park/take publication ordering — real variants
+   explored exhaustively, seeded mutants caught with a minimized
+   replayable schedule.                                                 *)
 
 let test_lockfree_stack_protocol_clean () =
   (* Sleep-set DFS makes the full bound-2 tree (tag-retry loops included)
@@ -182,18 +182,6 @@ let test_park_before_decommit_mutant_caught () =
          (sprintf "minimized schedule [%s] must replay to failure"
             (Explorer.schedule_to_string f.Explorer.f_schedule)))
 
-let test_shelf_transfer_explored () =
-  let o = Explorer.explore ~strategy:Explorer.Sleep_dfs ~bound:1 ~max_runs:200_000 Scenarios.shelf_transfer in
-  (match o.Explorer.o_failure with
-   | None -> ()
-   | Some f ->
-     Alcotest.fail
-       (sprintf "shelf transfer failed under [%s]: %s"
-          (Explorer.schedule_to_string f.Explorer.f_schedule)
-          f.Explorer.f_message));
-  Alcotest.(check bool) "explored the tree exhaustively" false o.Explorer.o_truncated
-
-(* ------------------------------------------------------------------ *)
 (* The deferred remote-free list and the large-object cache (PR 8):
    real protocols explored exhaustively at preemption bound 2, the two
    seeded mutants caught with a minimized replayable schedule.          *)
@@ -348,11 +336,13 @@ let test_global_transfer_explored () =
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzz: deferred vs direct frees. The same generated
-   trace replays against every hoard-family factory's base config and
-   against the same config with the deferred lists and the large cache
-   switched on; the allocation-visible outcome (op counts, live bytes
-   after a full flush) must be identical — the deferred path only
-   changes WHEN blocks return to their owner, never whether they do.    *)
+   trace replays against every hoard-family factory's base config with
+   the front end and the large cache off (every free goes straight to
+   its owner heap or the OS) and with both on (cached frees return to
+   their owner through the deferred lists, large regions park in the
+   cache); the allocation-visible outcome (op counts, live bytes after a
+   full flush) must be identical — the deferred path only changes WHEN
+   blocks return to their owner, never whether they do.                *)
 
 let test_deferred_differential_fuzz () =
   let replay_with config t =
@@ -382,16 +372,9 @@ let test_deferred_differential_fuzz () =
           match Allocators.base_config label with
           | None -> () (* non-hoard comparison allocators: no deferred variant *)
           | Some cfg ->
-            let direct = replay_with { cfg with Hoard_config.deferred = false } t in
+            let direct = replay_with { cfg with Hoard_config.front_end = 0; large_cache = 0 } t in
             let deferred =
-              replay_with
-                {
-                  cfg with
-                  Hoard_config.deferred = true;
-                  front_end = max cfg.Hoard_config.front_end 4;
-                  large_cache = 4;
-                }
-                t
+              replay_with { cfg with Hoard_config.front_end = max cfg.Hoard_config.front_end 4; large_cache = 4 } t
             in
             let pp (m, fr, lv) = sprintf "mallocs=%d frees=%d live=%d" m fr lv in
             Alcotest.(check string)
@@ -405,7 +388,8 @@ let test_deferred_differential_fuzz () =
 
 let test_oracle_workloads_green () =
   (* Every quick workload, oracle-checked, on the paper allocator and the
-     front-end variant, with the blowup envelope asserted at the end. *)
+     production configuration with the large cache and the sanitizer on,
+     with the blowup envelope asserted at the end. *)
   List.iter
     (fun subject ->
       List.iter
@@ -416,7 +400,7 @@ let test_oracle_workloads_green () =
             true
             (r.Check_run.c_mallocs > 0 && r.Check_run.c_peak_usable > 0))
         (Check_run.quick_workloads ()))
-    [ "hoard"; "hoard-fe" ]
+    [ "hoard"; "hoard-gl-san" ]
 
 let test_oracle_sanitizer_workloads_green () =
   (* The acceptance gate: paper workloads green under the oracle with the
@@ -441,17 +425,21 @@ let test_oracle_reservoir_workloads_green () =
         true (r.Check_run.c_mallocs > 0))
     (Check_run.quick_workloads ())
 
-let test_oracle_shelf_workloads_green () =
-  (* The lock-free transfer path (shelf + reservoir + front end) under
-     the oracle: blowup slop includes the shelf's parked superblocks, and
-     flush_caches/check at quiescence validate the shelf walk. *)
+let test_oracle_subjects_use_registry_configs () =
+  (* An oracle subject must check the configuration the registry factory
+     of the same label runs: a label that falls through to the bare
+     registry factory silently skips flush_caches, Hoard.check and the
+     blowup envelope. *)
   List.iter
-    (fun w ->
-      let r = Check_run.run_oracle ~fuzz:17 ~workload:w ~subject:"hoard-shelf" () in
-      Alcotest.(check bool)
-        (sprintf "hoard-shelf/%s ran" r.Check_run.c_workload)
-        true (r.Check_run.c_mallocs > 0))
-    (Check_run.quick_workloads ())
+    (fun label ->
+      match Check_run.find_subject label with
+      | None -> Alcotest.fail (sprintf "no oracle subject %s" label)
+      | Some s ->
+        Alcotest.(check bool)
+          (sprintf "%s subject carries base_config %s" label label)
+          true
+          (s.Check_run.s_config = Allocators.base_config label && s.Check_run.s_config <> None))
+    [ "hoard"; "hoard-gl"; "hoard-san" ]
 
 let test_oracle_global_workloads_green () =
   (* The lock-free global heap under the oracle: every quick workload on
@@ -591,10 +579,9 @@ let test_fuzz_determinism () =
       Alcotest.(check int) (label ^ ": same cycles") cyc1 cyc2)
     [
       ("hoard", Hoard_config.default);
-      ("hoard-fe", Hoard_config.make ~front_end:Allocators.front_end_default ());
-      ( "hoard-df",
-        Hoard_config.make ~front_end:Allocators.front_end_default ~deferred:true
-          ~large_cache:Allocators.large_cache_default () );
+      ("hoard-gl", Option.get (Allocators.base_config "hoard-gl"));
+      ( "front end over the locked global heap",
+        Hoard_config.make ~front_end:Allocators.front_end_default ~large_cache:Allocators.large_cache_default () );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -743,7 +730,6 @@ let () =
           Alcotest.test_case "frozen ABA tag caught" `Quick test_lockfree_stack_aba_mutant_caught;
           Alcotest.test_case "park/take ordering survives bound 2" `Quick test_park_take_order_clean;
           Alcotest.test_case "park-before-decommit caught" `Quick test_park_before_decommit_mutant_caught;
-          Alcotest.test_case "shelf transfer survives" `Quick test_shelf_transfer_explored;
         ] );
       ( "deferred",
         [
@@ -766,7 +752,7 @@ let () =
           Alcotest.test_case "paper workloads green" `Quick test_oracle_workloads_green;
           Alcotest.test_case "workloads green with sanitizer" `Quick test_oracle_sanitizer_workloads_green;
           Alcotest.test_case "workloads green with reservoir" `Quick test_oracle_reservoir_workloads_green;
-          Alcotest.test_case "workloads green with shelf" `Quick test_oracle_shelf_workloads_green;
+          Alcotest.test_case "subjects use registry configs" `Quick test_oracle_subjects_use_registry_configs;
           Alcotest.test_case "workloads green with lock-free global" `Quick test_oracle_global_workloads_green;
           Alcotest.test_case "false sharing verdicts" `Quick test_oracle_false_sharing_verdicts;
           Alcotest.test_case "oracle catches misbehavior" `Quick test_oracle_catches_misbehavior;

@@ -220,7 +220,7 @@ let test_slo_spec_roundtrip () =
   | Ok _ -> Alcotest.fail "missing rules accepted"
 
 let test_slo_evaluate_pass_and_fail () =
-  let r = Slo.run_server ~params:(small_server_params Server_mix.Steady) (Allocators.hoard_fe ()) ~nprocs:4 in
+  let r = Slo.run_server ~params:(small_server_params Server_mix.Steady) (Allocators.hoard_gl ()) ~nprocs:4 in
   let rule metric q ceiling = { Slo.ru_metric = metric; ru_quantile = q; ru_ceiling = ceiling } in
   let generous =
     {
@@ -245,7 +245,7 @@ let test_slo_evaluate_pass_and_fail () =
   Alcotest.(check bool) "table shows verdict" true (Astring.String.is_infix ~affix:"VIOLATED" tbl)
 
 let test_server_run_counts_and_determinism () =
-  let run () = Slo.run_server ~params:(small_server_params Server_mix.Bursty) (Allocators.hoard_fe ()) ~nprocs:4 in
+  let run () = Slo.run_server ~params:(small_server_params Server_mix.Bursty) (Allocators.hoard_gl ()) ~nprocs:4 in
   let a = run () and b = run () in
   Alcotest.(check int) "all requests served" 200 (Server_mix.completed a.Slo.sv_recorder);
   (* The sink wires completions into the run's ring: drop-proof kind
@@ -262,7 +262,7 @@ let test_server_run_counts_and_determinism () =
     (Histogram.percentile h 0.99 > Histogram.percentile h 0.5)
 
 let test_server_metrics_json_gate_shape () =
-  let r = Slo.run_server ~params:(small_server_params Server_mix.Flash) (Allocators.hoard_fe ()) ~nprocs:4 in
+  let r = Slo.run_server ~params:(small_server_params Server_mix.Flash) (Allocators.hoard_gl ()) ~nprocs:4 in
   match Json_lite.parse (Slo.metrics_json r) with
   | Error e -> Alcotest.fail ("metrics JSON invalid: " ^ e)
   | Ok j ->
@@ -288,7 +288,7 @@ let test_server_metrics_json_gate_shape () =
            | None -> Alcotest.fail "p99 value not a number");
           (match Json_lite.member "labels" m with
            | Some labels ->
-             Alcotest.(check (option string)) "allocator label" (Some "hoard-fe")
+             Alcotest.(check (option string)) "allocator label" (Some "hoard-gl")
                (Option.bind (Json_lite.member "allocator" labels) Json_lite.to_string)
            | None -> Alcotest.fail "labels missing")))
 
@@ -296,7 +296,7 @@ let test_server_perfetto_export () =
   (* Satellite check, on a real 4-domain run: the trace round-trips
      through Json_lite, every counter track is monotone in ts, and
      instant counts match the rings' drop-proof totals. *)
-  let r = Slo.run_server ~params:(small_server_params Server_mix.Bursty) (Allocators.hoard_fe ()) ~nprocs:4 in
+  let r = Slo.run_server ~params:(small_server_params Server_mix.Bursty) (Allocators.hoard_gl ()) ~nprocs:4 in
   match Json_lite.parse (Slo.perfetto_json r) with
   | Error e -> Alcotest.fail ("trace JSON invalid: " ^ e)
   | Ok j ->

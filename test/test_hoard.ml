@@ -454,7 +454,7 @@ let test_usable_size_matches_class () =
     a.Alloc_intf.free p
   done
 
-(* --- the lock-free front end: per-thread caches + remote-free queues --- *)
+(* --- the lock-free front end: per-thread caches + deferred lists --- *)
 
 let mk_fe ?(k = 8) () =
   let pf = Platform.host () in
@@ -486,8 +486,8 @@ let test_cache_bounded_and_flushed () =
   Hoard.flush_caches h;
   Alcotest.(check bool) "caches empty after flush" true
     (List.for_all (fun (_, counts) -> Array.for_all (( = ) 0) counts) (Hoard.cache_counts h));
-  Alcotest.(check bool) "queues empty after flush" true
-    (Array.for_all (( = ) 0) (Hoard.remote_queue_lengths h));
+  Alcotest.(check bool) "deferred lists empty after flush" true
+    (Array.for_all (( = ) 0) (Hoard.deferred_lengths h));
   Alcotest.(check int) "nothing live" 0 (a.Alloc_intf.stats ()).Alloc_stats.live_bytes;
   a.Alloc_intf.check ()
 
@@ -510,10 +510,10 @@ let test_double_free_cached_detected () =
   Alcotest.check_raises "double free while cached" (Failure "Hoard.free: double free (cached)")
     (fun () -> a.Alloc_intf.free p)
 
-let test_remote_queue_drain_reuses_memory () =
+let test_deferred_reclaim_reuses_memory () =
   (* Producer on proc 0, consumer on proc 1: the consumer's frees land on
-     the producer heap's remote-free queue; the producer's next slow path
-     drains them, so re-allocating must not map new OS memory. *)
+     the producer heap's deferred list; the producer's next slow path
+     reclaims them, so re-allocating must not map new OS memory. *)
   let sim = Sim.create ~nprocs:2 () in
   let pf = Sim.platform sim in
   let config = { cfg with Hoard_config.front_end = 8; release_to_os = false } in
@@ -537,14 +537,14 @@ let test_remote_queue_drain_reuses_memory () =
          Sim.barrier_wait b;
          List.iter a.Alloc_intf.free !ps;
          (* Push everything out of this thread's cache onto the owners'
-            remote-free queues before signalling the producer. *)
+            deferred lists before signalling the producer. *)
          a.Alloc_intf.flush ();
          Sim.barrier_wait b));
   Sim.run sim;
   let before, after = !maps in
   Alcotest.(check int) "no new OS maps after drain" before after;
   let s = a.Alloc_intf.stats () in
-  Alcotest.(check bool) "remote enqueues recorded" true (s.Alloc_stats.remote_enqueues > 0);
+  Alcotest.(check bool) "deferred enqueues recorded" true (s.Alloc_stats.deferred_enqueues > 0);
   Alcotest.(check bool) "remote drains recorded" true (s.Alloc_stats.remote_drains > 0);
   Hoard.flush_caches h;
   a.Alloc_intf.check ();
@@ -628,9 +628,9 @@ let test_recycled_tid_reflushes_on_exit () =
     a.Alloc_intf.free p
     (* p stays in tid 7's cache unless this domain's exit flushes it. *)
   in
-  (* The exit flush surrenders cached blocks to the owning heap's remote
-     queue, where they stay charged until a drain — so the observable is
-     the cache itself, not live_bytes. *)
+  (* The exit flush surrenders cached blocks to the owning heap's
+     deferred list, where they stay charged until a reclaim — so the
+     observable is the cache itself, not live_bytes. *)
   let cache_empty () =
     List.for_all (fun (_, counts) -> Array.for_all (( = ) 0) counts) (Hoard.cache_counts h)
   in
@@ -639,166 +639,10 @@ let test_recycled_tid_reflushes_on_exit () =
   Domain.join (Domain.spawn worker);
   Alcotest.(check bool) "second worker (recycled tid) flushed too" true (cache_empty ());
   Hoard.flush_caches h;
-  Alcotest.(check int) "every block recovered from the queues" 0
+  Alcotest.(check int) "every block recovered from the deferred lists" 0
     (a.Alloc_intf.stats ()).Alloc_stats.live_bytes;
   a.Alloc_intf.check ();
   Platform.host_release pf0
-
-let test_remote_forward_bounded () =
-  (* Drain forwarding: blocks queued on a heap whose superblock then
-     migrates are re-forwarded to the new owner's queue — boundedly.
-     Choreography: t1 frees t0's blocks so two of SB1's land on heap 1's
-     remote queue (cap 2); t0 then empties the heap far enough that SB1
-     (2 pending blocks) transfers to the global heap, and its next drain
-     forwards the stale entries to heap 0's queue. *)
-  let sim = Sim.create ~nprocs:2 () in
-  let pf = Sim.platform sim in
-  let obs = Obs.create () in
-  let config =
-    {
-      cfg with
-      Hoard_config.sb_size = 4096;
-      nheaps = Some 2;
-      slack = 0;
-      release_to_os = false;
-      front_end = 8;
-      remote_queue_cap = 2;
-    }
-  in
-  let h = Hoard.create ~config ~obs pf in
-  let a = Hoard.allocator h in
-  let sb_size = config.Hoard_config.sb_size in
-  let b = Sim.new_barrier sim ~parties:2 in
-  let groups = ref [] in
-  let held = ref [] in
-  ignore
-    (Sim.spawn sim ~proc:0 (fun () ->
-         (* Fill three superblocks of one class on heap 1. *)
-         let ps = Array.init 200 (fun _ -> a.Alloc_intf.malloc 64) in
-         let by_base = Hashtbl.create 8 in
-         Array.iter
-           (fun p ->
-             let base = p - (p mod sb_size) in
-             Hashtbl.replace by_base base (p :: (Option.value (Hashtbl.find_opt by_base base) ~default:[])))
-           ps;
-         groups := Hashtbl.fold (fun _ g acc -> g :: acc) by_base [] |> List.sort (fun x y -> compare (List.length y) (List.length x));
-         Sim.barrier_wait b;
-         (* t1 queued two SB1 blocks on our heap. Free everything except
-            SB1's queued blocks and three SB3 keepers, then flush: the
-            trims exile SB1 (2 pending < SB3's 3 live, and SB3 stays as
-            the class's protected last), and the flush's own drain meets
-            the migrated entries and must forward them. *)
-         Sim.barrier_wait b;
-         (match !groups with
-          | sb1 :: rest ->
-            let followers = List.concat rest in
-            let keep, free_now_ =
-              match followers with
-              | k1 :: k2 :: k3 :: tl -> ([ k1; k2; k3 ], tl)
-              | _ -> Alcotest.fail "remote-forward: not enough blocks"
-            in
-            held := keep;
-            List.iter a.Alloc_intf.free (List.filteri (fun i _ -> i >= 12) sb1);
-            List.iter a.Alloc_intf.free free_now_;
-            a.Alloc_intf.flush ();
-            (* The forwarding under test has happened; release the keepers
-               from inside the sim (the allocator is sim-backed). *)
-            List.iter a.Alloc_intf.free !held;
-            a.Alloc_intf.flush ()
-          | [] -> Alcotest.fail "remote-forward: no superblocks")));
-  ignore
-    (Sim.spawn sim ~proc:1 (fun () ->
-         Sim.barrier_wait b;
-         (* Free 12 SB1 blocks from the wrong thread: 8 fill this thread's
-            cache, the eviction offers 4 to heap 1's queue (cap 2), the
-            flush pushes the rest through the locked path. *)
-         (match !groups with
-          | sb1 :: _ -> List.iter a.Alloc_intf.free (List.filteri (fun i _ -> i < 12) sb1)
-          | [] -> Alcotest.fail "remote-forward: no superblocks");
-         a.Alloc_intf.flush ();
-         Sim.barrier_wait b));
-  Sim.run sim;
-  let s = a.Alloc_intf.stats () in
-  Alcotest.(check bool)
-    (Printf.sprintf "forwards recorded (%d)" s.Alloc_stats.remote_forwards)
-    true (s.Alloc_stats.remote_forwards > 0);
-  let fwd_events =
-    List.fold_left (fun acc (_, r) -> acc + Event_ring.recorded_kind r Event_ring.Remote_forward) 0 (Obs.rings obs)
-  in
-  Alcotest.(check int) "one event per forwarded block" s.Alloc_stats.remote_forwards fwd_events;
-  (* The bound the fix enforces: no queue ever exceeds 2x its cap. *)
-  Array.iteri
-    (fun id len ->
-      Alcotest.(check bool)
-        (Printf.sprintf "queue %d: %d <= 2*cap" id len)
-        true
-        (len <= 2 * config.Hoard_config.remote_queue_cap))
-    (Hoard.remote_queue_lengths h);
-  Hoard.flush_caches h;
-  a.Alloc_intf.check ();
-  Alcotest.(check int) "nothing live" 0 (a.Alloc_intf.stats ()).Alloc_stats.live_bytes
-
-(* --- the lock-free empty-superblock shelf --- *)
-
-let test_shelf_off_by_default () =
-  Alcotest.(check int) "default shelf" 0 Hoard_config.default.Hoard_config.shelf;
-  let _, a = mk () in
-  let ps = List.init 3000 (fun _ -> a.Alloc_intf.malloc 64) in
-  List.iter a.Alloc_intf.free ps;
-  let s = a.Alloc_intf.stats () in
-  Alcotest.(check int) "no shelf pushes" 0 s.Alloc_stats.shelf_pushes;
-  Alcotest.(check int) "no shelf pops" 0 s.Alloc_stats.shelf_pops
-
-let test_shelf_roundtrip () =
-  (* Empty victims take the CAS route to the shelf; the next refill pops
-     them back (reinitialised to the needed class) without touching the
-     global lock. *)
-  let pf = Platform.host () in
-  let config = { cfg with Hoard_config.shelf = 2; slack = 0 } in
-  let h = Hoard.create ~config pf in
-  let a = Hoard.allocator h in
-  let ps = List.init 3000 (fun _ -> a.Alloc_intf.malloc 64) in
-  List.iter a.Alloc_intf.free ps;
-  let s = a.Alloc_intf.stats () in
-  Alcotest.(check bool) "pushes recorded" true (s.Alloc_stats.shelf_pushes > 0);
-  Alcotest.(check bool) "shelf within cap" true (Hoard.shelf_length h <= config.Hoard_config.shelf);
-  Alcotest.(check bool) "shelf stocked" true (Hoard.shelf_length h > 0);
-  a.Alloc_intf.check ();
-  (* A different size class: the pop must reinitialise the superblock. *)
-  let qs = List.init 50 (fun _ -> a.Alloc_intf.malloc 256) in
-  let s = a.Alloc_intf.stats () in
-  Alcotest.(check bool) "pops recorded" true (s.Alloc_stats.shelf_pops > 0);
-  List.iter a.Alloc_intf.free qs;
-  a.Alloc_intf.check ();
-  Alcotest.(check int) "nothing live" 0 (a.Alloc_intf.stats ()).Alloc_stats.live_bytes;
-  Platform.host_release pf
-
-let test_shelf_cuts_global_lock_traffic () =
-  (* The non-blocking transfer path's acceptance bar: empty-superblock
-     round trips that used to serialise on the global lock now complete
-     with CAS only, so global-lock acquisitions must drop measurably. *)
-  let nprocs = 4 in
-  let global_acqs ~shelf name =
-    let w =
-      match Experiments.workload name Experiments.Quick with
-      | Some w -> w
-      | None -> Alcotest.failf "unknown workload %s" name
-    in
-    let config = { cfg with Hoard_config.shelf; slack = 0 } in
-    let r = Runner.run (Runner.spec w (Hoard.factory ~config ()) ~nprocs) in
-    List.fold_left
-      (fun acc (lname, n, _) -> if lname = "hoard.heap0" then acc + n else acc)
-      0 r.Runner.r_lock_stats
-  in
-  List.iter
-    (fun name ->
-      let base = global_acqs ~shelf:0 name in
-      let shelved = global_acqs ~shelf:8 name in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %d global-lock acquisitions with shelf vs %d without" name shelved base)
-        true
-        (shelved < base))
-    [ "larson"; "threadtest" ]
 
 (* --- the lock-free global heap (Global_index) --- *)
 
@@ -859,7 +703,7 @@ let test_global_lockfree_zero_heap0_lock () =
       (fun acc (lname, n, _) -> if lname = "hoard.heap0" then acc + n else acc)
       0 r.Runner.r_lock_stats
   in
-  let locked = { cfg with Hoard_config.front_end = 16; deferred = true; slack = 0 } in
+  let locked = { cfg with Hoard_config.front_end = 16; slack = 0 } in
   let base = heap0_acqs locked in
   let gl = heap0_acqs { locked with Hoard_config.global = Hoard_config.Lockfree } in
   Alcotest.(check bool)
@@ -885,7 +729,6 @@ let test_orphan_adoptions_match_events () =
           Hoard_config.nheaps = Some 2;
           release_to_os = false;
           front_end = 4;
-          deferred = (gmode = Hoard_config.Lockfree);
           global = gmode;
         }
       in
@@ -1058,13 +901,12 @@ let test_large_cache_roundtrip () =
   Hoard.check h
 
 (* The deferred remote-free lists: a consumer's flushed remote frees are
-   CAS pushes (no remote-queue enqueues), and the owner's next fill
-   reclaims them in one exchange. *)
+   CAS pushes, and the owner's next fill reclaims them in one exchange. *)
 let test_deferred_lists_reclaim () =
   let sim = Sim.create ~nprocs:2 () in
   let pf = Sim.platform sim in
   let h =
-    Hoard.create ~config:(Hoard_config.make ~front_end:4 ~deferred:true ()) pf
+    Hoard.create ~config:(Hoard_config.make ~front_end:4 ()) pf
   in
   let a = Hoard.allocator h in
   let barrier = Sim.new_barrier sim ~parties:2 in
@@ -1089,7 +931,6 @@ let test_deferred_lists_reclaim () =
   Hoard.flush_caches h;
   Hoard.check h;
   let s = a.Alloc_intf.stats () in
-  Alcotest.(check int) "no bounded-queue enqueues" 0 s.Alloc_stats.remote_enqueues;
   Alcotest.(check bool) "remote frees were deferred" true (s.Alloc_stats.deferred_enqueues >= 32);
   Alcotest.(check bool) "the owner reclaimed" true (s.Alloc_stats.deferred_reclaims >= 1);
   Alcotest.(check bool) "reclaims batch"
@@ -1103,9 +944,9 @@ let test_knob_registry () =
   (* make with no overrides is the default config. *)
   Alcotest.(check bool) "make () = default" true (Hoard_config.make () = Hoard_config.default);
   (* A labelled make equals the textual set of the same knob. *)
-  Alcotest.(check bool) "make ~deferred = set deferred=true" true
-    (Hoard_config.make ~deferred:true ~front_end:4 ()
-    = Hoard_config.set_all Hoard_config.default [ "deferred=true"; "front-end=4" ]);
+  Alcotest.(check bool) "make ~global = set global=lockfree" true
+    (Hoard_config.make ~global:Hoard_config.Lockfree ~front_end:4 ()
+    = Hoard_config.set_all Hoard_config.default [ "global=lockfree"; "front-end=4" ]);
   (* One representative knob per value shape. *)
   let c = Hoard_config.set Hoard_config.default "sb-size=4096" in
   Alcotest.(check int) "int knob" 4096 c.Hoard_config.sb_size;
@@ -1131,26 +972,37 @@ let test_knob_registry () =
     | exception Invalid_argument _ -> ()
   in
   rejects "bogus=1";
-  rejects "deferred";
-  rejects "deferred=maybe";
+  rejects "global";
+  rejects "global=maybe";
   rejects "sb-size=5000";
   rejects "empty-fraction=2.0";
+  (* Names of deleted knobs must fail as unknown, never be accepted and
+     ignored. *)
+  List.iter
+    (fun spec ->
+      match Hoard_config.set Hoard_config.default spec with
+      | _ -> Alcotest.fail (Printf.sprintf "%S must be rejected" spec)
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) (spec ^ " rejected as unknown") true
+          (Astring.String.is_infix ~affix:"unknown knob" msg))
+    [ "shelf=4"; "deferred=true"; "remote-queue-cap=8" ];
   (* The registry drives the CLI help and the printer. *)
   let names = Hoard_config.knob_names () in
+  Alcotest.(check int) "knob count" 18 (List.length names);
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " registered") true (List.mem n names);
       Alcotest.(check bool) (n ^ " documented") true
         (Astring.String.is_infix ~affix:n (Hoard_config.knob_doc ())))
-    [ "sb-size"; "empty-fraction"; "deferred"; "large-cache"; "front-end"; "mutant" ];
+    [ "sb-size"; "empty-fraction"; "global"; "large-cache"; "front-end"; "mutant" ];
   let printed =
     Format.asprintf "%a" Hoard_config.pp
-      (Hoard_config.make ~deferred:true ~front_end:4 ~large_cache:2 ())
+      (Hoard_config.make ~global:Hoard_config.Lockfree ~front_end:4 ~large_cache:2 ())
   in
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " printed") true (Astring.String.is_infix ~affix:n printed))
-    [ "deferred"; "large-cache"; "front-end" ]
+    [ "global"; "large-cache"; "front-end" ]
 
 (* Fuzz: a textual [set_all] over a random subset of knobs must land on
    exactly the config the labelled builder produces for the same subset —
@@ -1169,18 +1021,18 @@ let test_set_all_matches_labelled_make =
       let nheaps = opt 3 [ Some 1; Some 3; Some 9; None ] in
       let release_threshold = opt 4 [ 0; 2; 8 ] in
       let front_end = opt 5 [ 0; 4; 16 ] in
-      let deferred = opt 6 [ true; false ] in
+      let path_work = opt 6 [ 0; 30; 100 ] in
       let large_cache = opt 7 [ 0; 2; 8 ] in
       let sanitize = opt 8 [ true; false ] in
       let quarantine = opt 9 [ 0; 8; 64 ] in
       let mutant = opt 10 Hoard_config.known_mutants in
-      let shelf = opt 11 [ 0; 2; 4 ] in
+      let release_to_os = opt 11 [ true; false ] in
       let reservoir = opt 12 [ 0; 2; 4 ] in
       let assign_by_tid = opt 13 [ true; false ] in
       let global = opt 14 [ Hoard_config.Locked; Hoard_config.Lockfree ] in
       let labelled =
         Hoard_config.make ?sb_size ?empty_fraction ?slack ?nheaps ?release_threshold ?front_end
-          ?deferred ?large_cache ?sanitize ?quarantine ?mutant ?shelf ?reservoir ?assign_by_tid
+          ?path_work ?large_cache ?sanitize ?quarantine ?mutant ?release_to_os ?reservoir ?assign_by_tid
           ?global ()
       in
       let textual =
@@ -1195,12 +1047,12 @@ let test_set_all_matches_labelled_make =
               nheaps;
             Option.map (Printf.sprintf "release-threshold=%d") release_threshold;
             Option.map (Printf.sprintf "front-end=%d") front_end;
-            Option.map (Printf.sprintf "deferred=%b") deferred;
+            Option.map (Printf.sprintf "path-work=%d") path_work;
             Option.map (Printf.sprintf "large-cache=%d") large_cache;
             Option.map (Printf.sprintf "sanitize=%b") sanitize;
             Option.map (Printf.sprintf "quarantine=%d") quarantine;
             Option.map (Printf.sprintf "mutant=%s") mutant;
-            Option.map (Printf.sprintf "shelf=%d") shelf;
+            Option.map (Printf.sprintf "release-to-os=%b") release_to_os;
             Option.map (Printf.sprintf "reservoir=%d") reservoir;
             Option.map (Printf.sprintf "assign-by-tid=%b") assign_by_tid;
             Option.map
@@ -1266,17 +1118,10 @@ let () =
           Alcotest.test_case "cache bounded and flushed" `Quick test_cache_bounded_and_flushed;
           Alcotest.test_case "check exact with caches" `Quick test_check_exact_with_caches_populated;
           Alcotest.test_case "double free cached" `Quick test_double_free_cached_detected;
-          Alcotest.test_case "remote queue drain reuse" `Quick test_remote_queue_drain_reuses_memory;
+          Alcotest.test_case "deferred reclaim reuse" `Quick test_deferred_reclaim_reuses_memory;
           Alcotest.test_case "5x fewer lock acquisitions" `Quick test_front_end_cuts_lock_traffic;
           Alcotest.test_case "cross-thread double free cached" `Quick test_cross_thread_double_free_cached;
           Alcotest.test_case "recycled tid exit flush" `Quick test_recycled_tid_reflushes_on_exit;
-          Alcotest.test_case "remote forwards bounded" `Quick test_remote_forward_bounded;
-        ] );
-      ( "shelf",
-        [
-          Alcotest.test_case "off by default" `Quick test_shelf_off_by_default;
-          Alcotest.test_case "push/pop roundtrip" `Quick test_shelf_roundtrip;
-          Alcotest.test_case "cuts global lock traffic" `Quick test_shelf_cuts_global_lock_traffic;
         ] );
       ( "global heap",
         [

@@ -150,9 +150,9 @@ let test_producer_consumer () =
 
 let test_front_end_storm () =
   (* Every free is a neighbour's block, so eviction constantly batches
-     onto other heaps' remote-free queues while those heaps' owners are
+     onto other heaps' deferred lists while those heaps' owners are
      allocating. Worker caches are flushed by Domain.at_exit on join;
-     flush_caches then empties the remote-free queues so the final stats
+     flush_caches then empties the deferred lists so the final stats
      must be exact. *)
   let rounds = 20 and batch = 64 in
   let pf = Platform.host ~nprocs:ndomains () in
@@ -186,7 +186,7 @@ let test_front_end_storm () =
   Alcotest.(check int) "exact frees" expected s.Alloc_stats.frees;
   Alcotest.(check int) "no live bytes" 0 s.Alloc_stats.live_bytes;
   Alcotest.(check bool) "front end exercised" true (s.Alloc_stats.cache_hits > 0);
-  Alcotest.(check bool) "remote queues exercised" true (s.Alloc_stats.remote_enqueues > 0);
+  Alcotest.(check bool) "deferred lists exercised" true (s.Alloc_stats.deferred_enqueues > 0);
   Platform.host_release pf
 
 (* --- stats exactness across domains, small and large paths --- *)
