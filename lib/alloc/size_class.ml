@@ -2,8 +2,8 @@ type t = { table : int array; max_small : int; lut : int array (* size -> class,
 
 let round_up x align = (x + align - 1) / align * align
 
-(* Smallest class with table.(c) >= size; the builder for the lookup
-   table and the reference the equivalence test checks against. *)
+(* Smallest class with table.(c) >= size: the reference the equivalence
+   test checks the lookup table against. *)
 let search table size =
   let lo = ref 0 and hi = ref (Array.length table - 1) in
   while !lo < !hi do
@@ -26,7 +26,17 @@ let create ?(min_block = 8) ?(growth = 1.2) ~max_small () =
       build (size :: acc) (min next max_small)
   in
   let table = Array.of_list (build [] min_block) in
-  { table; max_small; lut = Array.init (max_small + 1) (fun s -> search table (max s 1)) }
+  (* One ascending pass: the class only moves up as the size grows, and
+     the last class is max_small, so the walk never runs off the table. *)
+  let lut = Array.make (max_small + 1) 0 in
+  let c = ref 0 in
+  for s = 1 to max_small do
+    while table.(!c) < s do
+      incr c
+    done;
+    lut.(s) <- !c
+  done;
+  { table; max_small; lut }
 
 let count t = Array.length t.table
 

@@ -1,7 +1,5 @@
 type proc = int
 
-type outcome = Hit | Cold_miss | Coherence_miss
-
 type summary = {
   hits : int;
   cold_misses : int;
@@ -20,10 +18,13 @@ type proc_stats = {
   p_evictions : int;
 }
 
-(* Directory entry: which processors hold the line, and whether one of them
-   holds it exclusively (dirty). [mask] is a processor set (multi-word bit
-   set, so machines wider than 62 processors work). *)
-type line_state = { mask : Procset.t; mutable exclusive : bool }
+(* Directory entry: which processors hold the line, and how many. [mask]
+   is a processor set (multi-word bit set, so machines wider than 62
+   processors work); [holders] is its cardinality, kept so an access needs
+   no popcount. A line held by one processor after a write is that
+   processor's exclusive (dirty) copy; the classification below needs only
+   the holder set. *)
+type line_state = { mask : Procset.t; mutable holders : int }
 
 type counters = {
   mutable hits : int;
@@ -38,6 +39,16 @@ type counters = {
    recency order plus a line -> node index. *)
 type lru = { order : int Dlist.t; nodes : (int, int Dlist.node) Hashtbl.t }
 
+(* The directory is keyed by line index: an int-keyed table, so a lookup
+   costs one integer hash and no polymorphic comparison. *)
+module Dir = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x = x land max_int
+end)
+
 type t = {
   line_size : int;
   line_shift : int;
@@ -45,9 +56,10 @@ type t = {
   capacity_lines : int option;
   nodes : int array; (* processor -> NUMA node, validated at creation *)
   sockets : int array; (* processor -> socket, validated at creation *)
-  directory : (int, line_state) Hashtbl.t; (* line index -> state *)
+  multi_domain : bool; (* more than one node or socket: cross-domain events possible *)
+  directory : line_state Dir.t; (* line index -> state *)
   counters : counters array;
-  lrus : lru array; (* used only when capacity_lines is set *)
+  lrus : lru array; (* one per processor when capacity_lines is set, else empty *)
   mutable cross_node_total : int;
   mutable cross_socket_total : int;
 }
@@ -89,17 +101,24 @@ let create ?(line_size = 64) ?capacity_lines ?(node_of = fun _ -> 0) ?(socket_of
    | Some c when c < 1 -> invalid_arg "Cache.create: capacity_lines must be >= 1"
    | _ -> ());
   let rec log2 n = if n = 1 then 0 else 1 + log2 (n / 2) in
+  let nodes = validated_domain_map ~what:"node_of" ~nprocs node_of in
+  let sockets = validated_domain_map ~what:"socket_of" ~nprocs socket_of in
   {
     line_size;
     line_shift = log2 line_size;
     nprocs;
     capacity_lines;
-    nodes = validated_domain_map ~what:"node_of" ~nprocs node_of;
-    sockets = validated_domain_map ~what:"socket_of" ~nprocs socket_of;
-    directory = Hashtbl.create 4096;
+    nodes;
+    sockets;
+    (* Contiguous ids from 0: more than one domain iff some id is non-zero. *)
+    multi_domain = Array.exists (fun d -> d <> 0) nodes || Array.exists (fun d -> d <> 0) sockets;
+    directory = Dir.create 4096;
     counters =
       Array.init nprocs (fun _ -> { hits = 0; cold = 0; coher = 0; inval_sent = 0; inval_recv = 0; evictions = 0 });
-    lrus = Array.init nprocs (fun _ -> { order = Dlist.create (); nodes = Hashtbl.create 256 });
+    lrus =
+      (match capacity_lines with
+       | Some _ -> Array.init nprocs (fun _ -> { order = Dlist.create (); nodes = Hashtbl.create 256 })
+       | None -> [||]);
     cross_node_total = 0;
     cross_socket_total = 0;
   }
@@ -114,157 +133,123 @@ let socket_of t p = t.sockets.(p)
 
 let line_of_addr t addr = addr lsr t.line_shift
 
-let credit_invalidations t p remote =
-  let n = Procset.count remote in
-  if n > 0 then begin
-    t.counters.(p).inval_sent <- t.counters.(p).inval_sent + n;
-    Procset.iter (fun q -> t.counters.(q).inval_recv <- t.counters.(q).inval_recv + 1) remote
-  end;
-  n
-
 let state_of t line =
-  match Hashtbl.find_opt t.directory line with
-  | Some s -> s
-  | None ->
-    let s = { mask = Procset.make ~width:t.nprocs; exclusive = false } in
-    Hashtbl.replace t.directory line s;
+  match Dir.find t.directory line with
+  | s -> s
+  | exception Not_found ->
+    let s = { mask = Procset.make ~width:t.nprocs; holders = 0 } in
+    Dir.add t.directory line s;
     s
 
-(* Coherence events whose peer lives on another domain (node or socket).
-   For an invalidating write, each remote copy is an event; for a served
-   miss, one event if any current holder is remote. *)
-let cross_of_mask domains p mask =
-  let my = domains.(p) in
-  Procset.fold (fun q n -> if domains.(q) <> my then n + 1 else n) mask 0
-
-let access_line t p line ~is_write =
-  let s = state_of t line in
-  let holds = Procset.mem s.mask p in
-  let nremote = Procset.count_excluding s.mask p in
-  if is_write then
-    if holds && nremote = 0 then begin
-      (* Already sole holder: silent upgrade to exclusive. *)
-      s.exclusive <- true;
-      t.counters.(p).hits <- t.counters.(p).hits + 1;
-      (Hit, 0)
-    end
-    else if holds then begin
-      (* Upgrade: kill the other copies but the data is local. *)
-      Procset.remove s.mask p;
-      let n = credit_invalidations t p s.mask in
-      Procset.assign_singleton s.mask p;
-      s.exclusive <- true;
-      t.counters.(p).hits <- t.counters.(p).hits + 1;
-      (Hit, n)
-    end
-    else if nremote > 0 then begin
-      let n = credit_invalidations t p s.mask in
-      Procset.assign_singleton s.mask p;
-      s.exclusive <- true;
-      t.counters.(p).coher <- t.counters.(p).coher + 1;
-      (Coherence_miss, n)
-    end
-    else begin
-      Procset.assign_singleton s.mask p;
-      s.exclusive <- true;
-      t.counters.(p).cold <- t.counters.(p).cold + 1;
-      (Cold_miss, 0)
-    end
-  else if holds then begin
-    t.counters.(p).hits <- t.counters.(p).hits + 1;
-    (Hit, 0)
-  end
-  else if nremote > 0 then begin
-    (* Served cache-to-cache; an exclusive holder is downgraded to shared
-       (no invalidation: the remote copy survives). *)
-    Procset.add s.mask p;
-    s.exclusive <- false;
-    t.counters.(p).coher <- t.counters.(p).coher + 1;
-    (Coherence_miss, 0)
-  end
-  else begin
-    Procset.assign_singleton s.mask p;
-    s.exclusive <- false;
-    t.counters.(p).cold <- t.counters.(p).cold + 1;
-    (Cold_miss, 0)
-  end
+let make_sole_holder s p =
+  Procset.assign_singleton s.mask p;
+  s.holders <- 1
 
 (* Record that processor [p] now caches [line]; evict its least recently
    used line when over capacity (the victim silently drops out of the
    directory — writebacks are modelled as free/asynchronous). *)
-let lru_touch t p line =
-  match t.capacity_lines with
-  | None -> ()
-  | Some capacity ->
-    let lru = t.lrus.(p) in
-    (match Hashtbl.find_opt lru.nodes line with
-     | Some node -> Dlist.remove lru.order node
-     | None -> ());
-    Hashtbl.replace lru.nodes line (Dlist.push_front lru.order line);
-    if Dlist.length lru.order > capacity then
-      match Dlist.peek_back lru.order with
-      | None -> ()
-      | Some victim ->
-        (match Hashtbl.find_opt lru.nodes victim with
-         | Some node -> Dlist.remove lru.order node
-         | None -> ());
-        Hashtbl.remove lru.nodes victim;
-        (match Hashtbl.find_opt t.directory victim with
-         | Some st ->
-           Procset.remove st.mask p;
-           if Procset.is_empty st.mask then st.exclusive <- false
-         | None -> ());
-        t.counters.(p).evictions <- t.counters.(p).evictions + 1
+let lru_touch t p line capacity =
+  let lru = t.lrus.(p) in
+  (match Hashtbl.find_opt lru.nodes line with
+   | Some node -> Dlist.remove lru.order node
+   | None -> ());
+  Hashtbl.replace lru.nodes line (Dlist.push_front lru.order line);
+  if Dlist.length lru.order > capacity then
+    match Dlist.peek_back lru.order with
+    | None -> ()
+    | Some victim ->
+      (match Hashtbl.find_opt lru.nodes victim with
+       | Some node -> Dlist.remove lru.order node
+       | None -> ());
+      Hashtbl.remove lru.nodes victim;
+      (match Dir.find_opt t.directory victim with
+       | Some st when Procset.mem st.mask p ->
+         Procset.remove st.mask p;
+         st.holders <- st.holders - 1
+       | Some _ | None -> ());
+      t.counters.(p).evictions <- t.counters.(p).evictions + 1
 
+(* One access classifies each line it spans MESI-style against the holder
+   set before the transition:
+   - write, sole holder: hit (silent upgrade to exclusive);
+   - write, other holders: every other copy is invalidated and the writer
+     becomes the sole holder — a hit if it held the line, a coherence miss
+     otherwise;
+   - read, holder: hit;
+   - read, other holders: served cache-to-cache (a coherence miss; an
+     exclusive copy is downgraded to shared, nothing is invalidated);
+   - no holder: cold miss.
+   A coherence event (a miss served by a peer, or invalidations) crosses a
+   node or socket once per remote copy it invalidates, or once for a served
+   miss if any current holder is remote. *)
 let access t p ~addr ~len ~is_write =
   if len <= 0 then invalid_arg "Cache.access: len must be positive";
   if p < 0 || p >= t.nprocs then invalid_arg "Cache.access: bad processor id";
-  let acc =
-    ref
-      {
-        hits = 0;
-        cold_misses = 0;
-        coherence_misses = 0;
-        invalidations_sent = 0;
-        cross_node_events = 0;
-        cross_socket_events = 0;
-      }
-  in
+  let c = t.counters.(p) in
+  let hits = ref 0 and cold = ref 0 and coher = ref 0 and invals = ref 0 in
+  let cross_node = ref 0 and cross_socket = ref 0 in
   let first = line_of_addr t addr and last = line_of_addr t (addr + len - 1) in
   for line = first to last do
-    (* Snapshot the holder set before the transition to attribute
-       cross-node traffic. *)
-    let pre_mask =
-      match Hashtbl.find_opt t.directory line with
-      | Some s ->
-        let m = Procset.copy s.mask in
-        Procset.remove m p;
-        m
-      | None -> Procset.make ~width:t.nprocs
-    in
-    let outcome, invals = access_line t p line ~is_write in
-    lru_touch t p line;
-    let cross_counts domains =
-      if is_write && invals > 0 then cross_of_mask domains p pre_mask
-      else if outcome = Coherence_miss then min 1 (cross_of_mask domains p pre_mask)
-      else 0
-    in
-    let cross = cross_counts t.nodes in
-    let cross_sock = cross_counts t.sockets in
-    t.cross_node_total <- t.cross_node_total + cross;
-    t.cross_socket_total <- t.cross_socket_total + cross_sock;
-    let a = !acc in
-    acc :=
-      {
-        hits = (a.hits + if outcome = Hit then 1 else 0);
-        cold_misses = (a.cold_misses + if outcome = Cold_miss then 1 else 0);
-        coherence_misses = (a.coherence_misses + if outcome = Coherence_miss then 1 else 0);
-        invalidations_sent = a.invalidations_sent + invals;
-        cross_node_events = a.cross_node_events + cross;
-        cross_socket_events = a.cross_socket_events + cross_sock;
-      }
+    let s = state_of t line in
+    let holds = Procset.mem s.mask p in
+    let nremote = if holds then s.holders - 1 else s.holders in
+    if nremote > 0 && (is_write || not holds) then begin
+      (* A coherence event: walk the remote copies once, crediting
+         invalidations (writes only) and counting cross-domain peers. *)
+      let my_node = t.nodes.(p) and my_socket = t.sockets.(p) in
+      let xn = ref 0 and xs = ref 0 in
+      Procset.iter
+        (fun q ->
+          if q <> p then begin
+            if is_write then t.counters.(q).inval_recv <- t.counters.(q).inval_recv + 1;
+            if t.multi_domain then begin
+              if t.nodes.(q) <> my_node then incr xn;
+              if t.sockets.(q) <> my_socket then incr xs
+            end
+          end)
+        s.mask;
+      if is_write then begin
+        c.inval_sent <- c.inval_sent + nremote;
+        invals := !invals + nremote;
+        cross_node := !cross_node + !xn;
+        cross_socket := !cross_socket + !xs;
+        make_sole_holder s p;
+        if holds then incr hits else incr coher
+      end
+      else begin
+        cross_node := !cross_node + min 1 !xn;
+        cross_socket := !cross_socket + min 1 !xs;
+        Procset.add s.mask p;
+        s.holders <- s.holders + 1;
+        incr coher
+      end
+    end
+    else if holds then incr hits
+    else begin
+      make_sole_holder s p;
+      incr cold
+    end;
+    match t.capacity_lines with
+    | Some capacity -> lru_touch t p line capacity
+    | None -> ()
   done;
-  !acc
+  c.hits <- c.hits + !hits;
+  c.cold <- c.cold + !cold;
+  c.coher <- c.coher + !coher;
+  t.cross_node_total <- t.cross_node_total + !cross_node;
+  t.cross_socket_total <- t.cross_socket_total + !cross_socket;
+  {
+    hits = !hits;
+    cold_misses = !cold;
+    coherence_misses = !coher;
+    invalidations_sent = !invals;
+    cross_node_events = !cross_node;
+    cross_socket_events = !cross_socket;
+  }
+
+let credit_hits t p n =
+  if n < 0 then invalid_arg "Cache.credit_hits: n must be >= 0";
+  t.counters.(p).hits <- t.counters.(p).hits + n
 
 let read t p ~addr ~len = access t p ~addr ~len ~is_write:false
 
@@ -290,7 +275,7 @@ let total_invalidations t = Array.fold_left (fun acc c -> acc + c.inval_recv) 0 
 let total_coherence_misses t = Array.fold_left (fun acc c -> acc + c.coher) 0 t.counters
 
 let sharers t ~line =
-  match Hashtbl.find_opt t.directory line with
+  match Dir.find_opt t.directory line with
   | None -> []
   | Some s -> List.rev (Procset.fold (fun q acc -> q :: acc) s.mask [])
 

@@ -20,16 +20,10 @@ type t
 
 type proc = int
 
-(** Classification of one line access. *)
-type outcome =
-  | Hit
-  | Cold_miss  (** first touch of this line by this processor, no remote copy *)
-  | Coherence_miss  (** a remote copy was downgraded or invalidated to serve it *)
-
 type summary = {
-  hits : int;
-  cold_misses : int;
-  coherence_misses : int;
+  hits : int;  (** lines this processor already held *)
+  cold_misses : int;  (** lines no processor held: first touch, or all copies evicted *)
+  coherence_misses : int;  (** lines a remote copy had to be downgraded or invalidated to serve *)
   invalidations_sent : int;  (** remote copies killed by this access *)
   cross_node_events : int;
       (** coherence events (miss service or invalidation) whose peer sits
@@ -83,6 +77,14 @@ val nprocs : t -> int
 val read : t -> proc -> addr:int -> len:int -> summary
 
 val write : t -> proc -> addr:int -> len:int -> summary
+
+val credit_hits : t -> proc -> int -> unit
+(** [credit_hits t p n] counts [n] read hits of processor [p] without
+    touching the directory. A read hit changes no directory state (and no
+    LRU order when the line is [p]'s most recently used one), so [n] more
+    reads of the line [p] accessed last, with no write to it in between,
+    are exactly [n] hits; the simulator uses this to account spin retries
+    it does not step one by one. *)
 
 val stats : t -> proc -> proc_stats
 

@@ -12,8 +12,6 @@ let make ~width =
   if width < 1 then invalid_arg "Procset.make: width must be >= 1";
   Array.make ((width + bits_per_word - 1) / bits_per_word) 0
 
-let copy = Array.copy
-
 let mem s p = s.(p / bits_per_word) land (1 lsl (p mod bits_per_word)) <> 0
 
 let add s p = s.(p / bits_per_word) <- s.(p / bits_per_word) lor (1 lsl (p mod bits_per_word))
@@ -26,19 +24,6 @@ let clear s = Array.fill s 0 (Array.length s) 0
 let assign_singleton s p =
   clear s;
   add s p
-
-let is_empty s =
-  let rec loop i = i >= Array.length s || (s.(i) = 0 && loop (i + 1)) in
-  loop 0
-
-let popcount_word w =
-  let rec loop m acc = if m = 0 then acc else loop (m land (m - 1)) (acc + 1) in
-  loop w 0
-
-let count s = Array.fold_left (fun acc w -> acc + popcount_word w) 0 s
-
-(* Members other than [p] (the "remote copies" of a directory entry). *)
-let count_excluding s p = count s - if mem s p then 1 else 0
 
 let iter f s =
   Array.iteri

@@ -1,14 +1,14 @@
 (** Mutable fixed-width processor sets (bit sets packed into an int
     array), replacing the single-[int] directory masks that capped the
     simulated machine at 62 processors. All operations are O(1) except
-    [count]/[iter]/[fold], which are O(width / 62). *)
+    [clear]/[assign_singleton]/[iter]/[fold], which are O(width / 62).
+    The set does not track its size: {!Cache} keeps the holder count next
+    to the set. *)
 
 type t
 
 val make : width:int -> t
 (** Empty set able to hold processors [0 .. width - 1]. *)
-
-val copy : t -> t
 
 val mem : t -> int -> bool
 
@@ -20,13 +20,6 @@ val clear : t -> unit
 
 val assign_singleton : t -> int -> unit
 (** [assign_singleton s p] makes [s] exactly [{p}]. *)
-
-val is_empty : t -> bool
-
-val count : t -> int
-
-val count_excluding : t -> int -> int
-(** Cardinality ignoring one processor: the "remote copy" count. *)
 
 val iter : (int -> unit) -> t -> unit
 (** Calls the function on each member in increasing order. *)

@@ -12,17 +12,18 @@ type lock = {
   mutable spins : int;
   mutable waiters : int list; (* FIFO ticket queue (Ticket kind only) *)
   mutable acquired_at : int; (* holder's clock when it acquired (for hold spans) *)
+  mutable parked : thread list; (* spinners taken off their run queues (see [park]) *)
 }
 
 (* What the scheduler should do next with a thread. *)
-type pending =
+and pending =
   | Start of (unit -> unit) (* body not yet started *)
   | Resume of (unit -> unit) (* stored continuation step *)
   | Try_acquire of lock * (unit -> unit) (* spinning on a lock *)
-  | Blocked (* parked on a barrier *)
+  | Blocked (* waiting on a barrier *)
   | Done
 
-type thread = {
+and thread = {
   tid : int;
   proc : int;
   mutable pending : pending;
@@ -84,6 +85,23 @@ type t = {
   vm : Vmem.t;
   clocks : int array;
   runq : thread Queue.t array;
+  (* Tournament tree over the processors, keyed by (clock, id): leaf
+     [width + p] is [p], or -1 when p's run queue is empty; each inner node
+     holds the winner of its two children, so [tree.(1)] is the processor
+     min-clock scheduling runs next. Refreshed (O(log P)) whenever a
+     processor's clock or queue changes. *)
+  width : int;
+  tree : int array;
+  (* Spin parking (Exact schedule, spin locks; see [park]): whether it is
+     on, the cost of each retry a parked thread is not stepped through, and
+     the thread parked on each processor, if any. [step_clock]/[step_proc]
+     is the key (pick clock, processor) of the step in flight, or between
+     steps of the last step taken. *)
+  parking : bool;
+  spin_hit : int;
+  parked_on : thread option array;
+  mutable step_clock : int;
+  mutable step_proc : int;
   mutable live : int;
   (* Threads that have started (or were spawned for time 0) and not yet
      finished: the churn envelope's P is the peak of this gauge, not the
@@ -155,6 +173,9 @@ let create ?(cost = Cost_model.default) ?(lock_kind = Spin) ?fuzz_schedule ?cont
       (Some f, Some f)
     | None -> (node_of, None)
   in
+  let rec pow2 w = if w >= nprocs then w else pow2 (2 * w) in
+  let width = pow2 1 in
+  let spin_hit = cost.Cost_model.cache_hit + cost.lock_spin in
   {
     nprocs;
     topology;
@@ -170,6 +191,15 @@ let create ?(cost = Cost_model.default) ?(lock_kind = Spin) ?fuzz_schedule ?cont
     vm = Vmem.create ~page_size ~backend:vmem_backend ();
     clocks = Array.make nprocs 0;
     runq = Array.init nprocs (fun _ -> Queue.create ());
+    width;
+    tree = Array.make (2 * width) (-1);
+    (* A zero-cost retry would never move the spinner's clock: such runs
+       keep stepping every spin. *)
+    parking = fuzz_schedule = None && control = None && lock_kind = Spin && spin_hit > 0;
+    spin_hit;
+    parked_on = Array.make nprocs None;
+    step_clock = 0;
+    step_proc = 0;
     live = 0;
     cur_active = 0;
     peak_active = 0;
@@ -223,6 +253,7 @@ let new_lock t l_name =
       spins = 0;
       waiters = [];
       acquired_at = 0;
+      parked = [];
     }
   in
   t.locks_rev <- l :: t.locks_rev;
@@ -283,6 +314,64 @@ let charge_access t p (s : Cache.summary) =
     + (s.cross_socket_events * c.cross_socket)
 
 let charge t p n = t.clocks.(p) <- t.clocks.(p) + n
+
+(* Recompute processor [p]'s leaf and its path to the root. The left
+   subtree holds the lower ids, so a clock tie goes left. *)
+let refresh t p =
+  let tree = t.tree and clocks = t.clocks in
+  let i = ref (t.width + p) in
+  tree.(!i) <- (if Queue.is_empty t.runq.(p) then -1 else p);
+  while !i > 1 do
+    i := !i lsr 1;
+    let a = tree.(2 * !i) and b = tree.((2 * !i) + 1) in
+    tree.(!i) <- (if a < 0 then b else if b < 0 then a else if clocks.(b) < clocks.(a) then b else a)
+  done
+
+(* The clock of the next step: the minimum over runnable processors. *)
+let next_event t =
+  let r = t.tree.(1) in
+  if r < 0 then max_int else t.clocks.(r)
+
+(* Spin parking. A spinner that is alone on its processor's run queue
+   would, until the lock is released, do nothing but retry: each retry
+   re-reads the lock word, which it already holds (only an acquire or a
+   release writes that line, and the lock stays held), so each costs
+   exactly [cache_hit + lock_spin] and touches nothing another processor
+   can see. Such a thread is taken off its queue and recorded on the lock;
+   its retries are replayed in closed form when they become observable —
+   at the lock's release, or when a barrier release or a deferred spawn
+   puts another thread on its processor. The replay counts the retries
+   whose keys [(clock + i * spin_hit, proc)] sort before the key of the
+   event that ends the parking, which are exactly the retries min-clock
+   scheduling would have run first. *)
+let park t th l =
+  l.parked <- th :: l.parked;
+  t.parked_on.(th.proc) <- Some th
+
+let replay t th l ~clock ~proc =
+  let p = th.proc in
+  let c = t.clocks.(p) in
+  let bound = if p < proc then clock + 1 else clock in
+  let n = if c >= bound then 0 else (bound - c + t.spin_hit - 1) / t.spin_hit in
+  t.clocks.(p) <- c + (n * t.spin_hit);
+  l.spins <- l.spins + n;
+  th.cur_spins <- th.cur_spins + n;
+  Cache.credit_hits t.cch p n;
+  t.parked_on.(p) <- None;
+  Queue.push th t.runq.(p);
+  refresh t p
+
+(* Another thread is about to join processor [p]'s queue at the event
+   key [(clock, proc)]: a thread parked there rejoins it first. *)
+let unpark_proc t p ~clock ~proc =
+  match t.parked_on.(p) with
+  | Some th ->
+    (match th.pending with
+     | Try_acquire (l, _) ->
+       l.parked <- List.filter (fun w -> w != th) l.parked;
+       replay t th l ~clock ~proc
+     | Start _ | Resume _ | Blocked | Done -> assert false)
+  | None -> ()
 
 (* Step-report collection (controlled mode only): distinct cache lines the
    current step touched, and whether it interacted with a lock/barrier. *)
@@ -345,6 +434,11 @@ let handler t th =
               if l.holder <> Some th.tid then
                 discontinue k (Invalid_argument ("Sim.release: thread does not hold " ^ l.l_name))
               else begin
+                (match l.parked with
+                 | [] -> ()
+                 | ws ->
+                   l.parked <- [];
+                   List.iter (fun w -> replay t w l ~clock:t.step_clock ~proc:t.step_proc) ws);
                 l.holder <- None;
                 note_sync t l.l_name;
                 note_lines t ~addr:l.l_addr ~len:8 ~wr:true;
@@ -371,9 +465,11 @@ let handler t th =
                 let now = t.clocks.(th.proc) in
                 List.iter
                   (fun (w, resume) ->
+                    unpark_proc t w.proc ~clock:t.step_clock ~proc:t.step_proc;
                     w.pending <- Resume resume;
                     if t.clocks.(w.proc) < now then t.clocks.(w.proc) <- now;
-                    Queue.push w t.runq.(w.proc))
+                    Queue.push w t.runq.(w.proc);
+                    refresh t w.proc)
                   b.waiting;
                 b.waiting <- [];
                 b.arrived <- 0;
@@ -478,28 +574,25 @@ let spawn_at t ~at ?proc body =
    "Has come" means at or before the machine's next event (the minimum
    clock over runnable processors); when the machine is idle the earliest
    pending spawn defines the next event and time jumps forward to it. *)
-let activate_due_spawns t =
+let rec activate_due_spawns t =
   match t.pending_spawns with
-  | [] -> ()
-  | _ ->
-    let next_event () =
-      let m = ref max_int in
-      for p = 0 to t.nprocs - 1 do
-        if (not (Queue.is_empty t.runq.(p))) && t.clocks.(p) < !m then m := t.clocks.(p)
-      done;
-      !m
+  | (at, th) :: rest when at <= next_event t ->
+    t.pending_spawns <- rest;
+    (* A spinner parked on the target ran, before this activation, every
+       retry that sorts before the last step taken or before [at] (a spawn
+       registered for a time already past joins right after the step that
+       registered it). *)
+    let clock, proc =
+      if at > t.step_clock || (at = t.step_clock && th.proc > t.step_proc) then (at, th.proc)
+      else (t.step_clock, t.step_proc)
     in
-    let rec loop () =
-      match t.pending_spawns with
-      | (at, th) :: rest when at <= next_event () ->
-        t.pending_spawns <- rest;
-        if Queue.is_empty t.runq.(th.proc) && t.clocks.(th.proc) < at then t.clocks.(th.proc) <- at;
-        Queue.push th t.runq.(th.proc);
-        mark_active t;
-        loop ()
-      | _ -> ()
-    in
-    loop ()
+    unpark_proc t th.proc ~clock ~proc;
+    if Queue.is_empty t.runq.(th.proc) && t.clocks.(th.proc) < at then t.clocks.(th.proc) <- at;
+    Queue.push th t.runq.(th.proc);
+    refresh t th.proc;
+    mark_active t;
+    activate_due_spawns t
+  | _ -> ()
 
 (* Whether the thread could advance its pending acquisition right now: a
    spinner on a held lock (or a non-head ticket waiter) only burns a retry. *)
@@ -599,12 +692,7 @@ let step t th =
 
 let pick_proc t =
   match t.schedule with
-  | Exact ->
-    let best = ref (-1) in
-    for p = t.nprocs - 1 downto 0 do
-      if not (Queue.is_empty t.runq.(p)) && (!best < 0 || t.clocks.(p) <= t.clocks.(!best)) then best := p
-    done;
-    !best
+  | Exact -> t.tree.(1)
   | Fuzzed rng ->
     (* Correctness fuzzing: any runnable processor may go next. The run
        explores a legal interleaving (effect-granularity atomicity is
@@ -651,6 +739,9 @@ let run ?(max_steps = 2_000_000_000) t =
     Array.iter
       (fun q -> if Queue.length q > 1 then invalid_arg "Sim.run: controlled mode needs at most one thread per processor")
       t.runq;
+  for p = 0 to t.nprocs - 1 do
+    refresh t p
+  done;
   let steps = ref 0 in
   while t.live > 0 do
     incr steps;
@@ -658,6 +749,8 @@ let run ?(max_steps = 2_000_000_000) t =
     activate_due_spawns t;
     let p = pick_proc t in
     if p < 0 then raise (Deadlock (deadlock_message t));
+    t.step_clock <- t.clocks.(p);
+    t.step_proc <- p;
     let th = Queue.pop t.runq.(p) in
     if t.observing then begin
       t.rep_sync <- None;
@@ -680,17 +773,23 @@ let run ?(max_steps = 2_000_000_000) t =
           };
       t.step_idx <- t.step_idx + 1
     end;
-    (* Livelock-to-deadlock promotion for the timing modes: a long unbroken
-       run of failed spin retries triggers a progress scan; if no live thread
-       could ever advance, this is a deadlock that happens to keep the run
-       queues busy (spinners never park), so report it as such. *)
+    (* Livelock-to-deadlock promotion: a long unbroken run of failed spin
+       retries triggers a progress scan; if no live thread could ever
+       advance, this is a deadlock that happens to keep the run queues busy
+       (spinners that share a processor, or any spinner outside the Exact
+       schedule, stay queued), so report it as such. *)
     if t.spin_streak > (2 * t.live) + 8 then begin
       if progress_possible t then t.spin_streak <- 0
       else raise (Deadlock (deadlock_message t))
     end;
     (match th.pending with
      | Done | Blocked -> ()
-     | Start _ | Resume _ | Try_acquire _ -> Queue.push th t.runq.(p))
+     | Try_acquire (l, _) when t.parking && th.cur_spins > 0 && Queue.is_empty t.runq.(p) ->
+       (* Spins paid for this acquisition mean its last step was a failed
+          retry, so its processor holds the lock word's line. *)
+       park t th l
+     | Start _ | Resume _ | Try_acquire _ -> Queue.push th t.runq.(p));
+    refresh t p
   done
 
 let platform t =

@@ -12,7 +12,10 @@
     directory-based {!Cache} simulator (hit / cold miss / coherence miss /
     invalidations) and charged accordingly. Locks are spin locks: a failed
     acquisition re-reads the lock word and charges a spin-retry, so lock
-    contention appears as both cycles and coherence traffic.
+    contention appears as both cycles and coherence traffic. (Under
+    min-clock scheduling, a spinner alone on its processor is not stepped
+    through each retry: its retries are accounted in closed form when they
+    become observable, with the same cycles and counts.)
 
     This is the substrate substituting for the paper's 14-processor Sun
     Enterprise: scalability is measured in simulated cycles rather than
@@ -32,9 +35,11 @@ exception Deadlock of string
 (** Raised by {!run} when live threads remain but none can make progress.
     The message names every stuck thread: for lock waiters, the lock and
     its current holder's thread id and processor; for barrier waiters,
-    the barrier. Detected both when all run queues drain (threads parked
-    on barriers) and when the machine degenerates into pure lock spinning
-    with no holder able to run (spin-lock deadlock, e.g. AB–BA). *)
+    the barrier. Detected both when no processor has a runnable thread
+    (threads blocked on barriers, or spinners taken off their run queues
+    while they wait) and when the machine degenerates into pure lock
+    spinning with no holder able to run (spin-lock deadlock, e.g. AB–BA,
+    among spinners that stay queued). *)
 
 type step_report = {
   sr_step : int;  (** global step index of the reported step *)
@@ -137,7 +142,8 @@ val peak_live_threads : t -> int
 
 val run : ?max_steps:int -> t -> unit
 (** Executes all spawned threads to completion. [max_steps] (default
-    [2_000_000_000]) bounds scheduler steps as a livelock backstop.
+    [2_000_000_000]) bounds scheduler steps as a livelock backstop (the
+    retries of a spinner taken off its run queue are not steps).
     Raises {!Deadlock} if every remaining thread is blocked. *)
 
 val total_cycles : t -> int

@@ -31,7 +31,7 @@ let test_size_class_growth_bounded =
       float_of_int bs <= (1.2 *. float_of_int size) +. 8.0)
 
 let test_size_class_lut_matches_search () =
-  (* The O(1) lookup table must agree with the binary-search builder on
+  (* The O(1) lookup table must agree with the binary-search reference on
      every representable request size. *)
   for size = 1 to 4096 do
     Alcotest.(check int)

@@ -179,8 +179,10 @@ let test_deadlock_detected () =
 
 (* Satellite: the enriched Deadlock message names the lock, its current
    holder (tid and processor), and each blocked waiter. Classic AB-BA:
-   spin locks never park, so this is caught by the spin-streak progress
-   scan rather than empty run queues. *)
+   each spinner is alone on its processor, so the Exact schedule parks
+   both and the deadlock shows as no runnable processor; spinners that
+   stay queued (sharing a processor, or under a fuzzed or controlled
+   schedule) are caught by the spin-streak progress scan instead. *)
 let test_deadlock_names_holder () =
   let sim = Sim.create ~cost:um ~nprocs:2 () in
   let la = Sim.new_lock sim "A" and lb = Sim.new_lock sim "B" in
@@ -207,6 +209,51 @@ let test_deadlock_names_holder () =
       ^ "tid 1 (proc 1) waits for lock \"A\" held by tid 0 (proc 0)"
     in
     Alcotest.(check string) "enriched deadlock message" expect msg
+
+(* A holder that finishes without releasing strands every spinner: the run
+   must end in [Deadlock] naming the finished holder, not in a livelock
+   that only [max_steps] would stop. *)
+let test_deadlock_holder_exits () =
+  let sim = Sim.create ~nprocs:3 () in
+  let l = Sim.new_lock sim "L" in
+  ignore
+    (Sim.spawn sim ~proc:0 (fun () ->
+         Sim.acquire l;
+         Sim.work 10));
+  ignore
+    (Sim.spawn sim ~proc:1 (fun () ->
+         Sim.work 5;
+         Sim.acquire l));
+  ignore
+    (Sim.spawn sim ~proc:2 (fun () ->
+         Sim.work 20;
+         Sim.acquire l));
+  Alcotest.check_raises "deadlock"
+    (Sim.Deadlock
+       ("2 thread(s) cannot progress: "
+       ^ "tid 1 (proc 1) waits for lock \"L\" held by tid 0 (proc 0); "
+       ^ "tid 2 (proc 2) waits for lock \"L\" held by tid 0 (proc 0)"))
+    (fun () -> Sim.run ~max_steps:1_000_000 sim)
+
+(* A spinner alone on its processor is parked until the lock's release:
+   seven threads spinning through a million-cycle critical section retry
+   about 170,000 times, yet the run takes a few dozen scheduler steps. *)
+let test_parked_spinners_take_no_steps () =
+  let sim = Sim.create ~nprocs:8 () in
+  let l = Sim.new_lock sim "l" in
+  for i = 0 to 7 do
+    ignore
+      (Sim.spawn sim (fun () ->
+           Sim.work i;
+           Sim.acquire l;
+           if i = 0 then Sim.work 1_000_000;
+           Sim.release l))
+  done;
+  Sim.run ~max_steps:200 sim;
+  Alcotest.(check bool)
+    (Printf.sprintf "retries accounted (%d)" (Sim.lock_spins l))
+    true
+    (Sim.lock_spins l > 7 * 1_000_000 / 41)
 
 let test_determinism () =
   let trace () =
@@ -448,6 +495,7 @@ let () =
           Alcotest.test_case "bad release" `Quick test_release_by_non_holder_rejected;
           Alcotest.test_case "ticket mutual exclusion" `Quick test_ticket_lock_mutual_exclusion;
           Alcotest.test_case "ticket FIFO" `Quick test_ticket_lock_fifo;
+          Alcotest.test_case "parked spinners take no steps" `Quick test_parked_spinners_take_no_steps;
         ] );
       ( "barriers",
         [
@@ -455,6 +503,7 @@ let () =
           Alcotest.test_case "reusable" `Quick test_barrier_reusable;
           Alcotest.test_case "deadlock detected" `Quick test_deadlock_detected;
           Alcotest.test_case "deadlock names holder" `Quick test_deadlock_names_holder;
+          Alcotest.test_case "deadlock after holder exits" `Quick test_deadlock_holder_exits;
         ] );
       ( "memory",
         [
