@@ -55,40 +55,6 @@ let subject_help () =
   in
   own ^ "\n(plus any registry allocator: " ^ String.concat ", " (Allocators.labels ()) ^ ")"
 
-(* The O(P) term of the paper's blowup bound, from the configuration: per
-   heap, K superblocks of slack, one being installed (the invariant is
-   only enforced on frees), one in transit to the global heap, and one
-   pinned per size class by the trim's protect-last rule; the global
-   heap's retained empties; front-end caches and deferred lists park whole
-   blocks; the quarantine holds back frees; threads keep one allocation
-   in flight. All counted at superblock granularity where a superblock
-   could be pinned, so the envelope is generous but still O(U + P).
-
-   P here is the PEAK LIVE thread population (Sim.peak_live_threads),
-   not the total ever spawned: a retiring thread's exit path flushes its
-   caches and hands its heap's superblocks to the global heap, so under
-   churn the threads that have come and gone must not widen the
-   envelope. Holding the bound to peak-live P is precisely what tests
-   that orphaned-superblock adoption works. *)
-let blowup_slop cfg ~nprocs ~peak_live_threads =
-  let s = cfg.Hoard_config.sb_size in
-  let p = peak_live_threads in
-  let heaps = (match cfg.Hoard_config.nheaps with Some n -> n | None -> nprocs) + 1 in
-  let per_heap = (cfg.Hoard_config.slack + 4) * s * heaps in
-  let retained = (cfg.Hoard_config.release_threshold + 1) * s in
-  let in_flight = p * s in
-  let fe = if cfg.Hoard_config.front_end > 0 then (p + heaps) * s else 0 in
-  let quarantine = if cfg.Hoard_config.sanitize then cfg.Hoard_config.quarantine * Hoard_config.max_small cfg else 0 in
-  (* Deferred lists are unbounded, but a block only floats between a
-     producer's eviction (at most a cache's worth per flush) and the
-     owner's next fill — the same per-thread granularity as the caches,
-     counted once more per heap since reclaims happen heap by heap. *)
-  let deferred = if cfg.Hoard_config.front_end > 0 then (p + heaps) * s else 0 in
-  (* The large cache keeps up to cap regions per bucket mapped (1..16
-     pages each, 4 KiB pages on every platform we build). *)
-  let large_cache = cfg.Hoard_config.large_cache * (16 * 17 / 2) * 4096 in
-  per_heap + retained + in_flight + fe + quarantine + deferred + large_cache
-
 type report = {
   c_workload : string;
   c_subject : string;
@@ -189,10 +155,10 @@ let run_oracle ?fuzz ?(nprocs = 4) ?nthreads ?(check_blowup = true) ?(expect_no_
      every cache before it was taken. *)
   (match !handle with
    | Some h when check_blowup ->
-     let cfg = Hoard.config h in
      Oracle.check_blowup o ~stats:r.Runner.r_stats
-       ~empty_fraction:cfg.Hoard_config.empty_fraction
-       ~slop:(blowup_slop cfg ~nprocs ~peak_live_threads:r.Runner.r_peak_live_threads)
+       ~envelope:
+         (Hoard_config.blowup_envelope (Hoard.config h) ~nprocs
+            ~peak_live_threads:r.Runner.r_peak_live_threads)
    | _ -> ());
   {
     c_workload = r.Runner.r_workload;

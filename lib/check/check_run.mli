@@ -25,14 +25,6 @@ val find_subject : string -> subject option
 
 val subject_help : unit -> string
 
-val blowup_slop : Hoard_config.t -> nprocs:int -> peak_live_threads:int -> int
-(** The configuration's O(P) term for {!Oracle.check_blowup}, with
-    P = the peak concurrently-live thread population
-    ({!Runner.result.r_peak_live_threads}) — never the total number of
-    threads ever spawned. Exited threads must not widen the envelope:
-    their caches are flushed and their superblocks adopted on
-    {!Hoard.on_thread_exit}. *)
-
 type report = {
   c_workload : string;
   c_subject : string;

@@ -200,12 +200,11 @@ let wrap ?name ?(line_size = 64) (pf : Platform.t) (a : Alloc_intf.t) =
    O(U). The factor 2/(1-f) over peak usable U is the superblock
    worst case: at most half a superblock is lost to header + carving
    waste (the S/2 size class), and a heap may be up to f empty. *)
-let check_blowup t ~(stats : Alloc_stats.snapshot) ~empty_fraction ~slop =
+let check_blowup t ~(stats : Alloc_stats.snapshot) ~envelope =
   let u = peak_usable_bytes t in
-  let bound = int_of_float (2.0 *. float_of_int u /. (1.0 -. empty_fraction)) + slop in
+  let bound = envelope ~live:u in
   if stats.Alloc_stats.peak_held_bytes > bound then
-    fail t "blowup: peak held %d bytes exceeds bound %d (U_usable=%d, slop=%d)"
-      stats.Alloc_stats.peak_held_bytes bound u slop
+    fail t "blowup: peak held %d bytes exceeds bound %d (U_usable=%d)" stats.Alloc_stats.peak_held_bytes bound u
 
 (* The memory-lifecycle invariant: resident (committed) bytes never
    exceed what the heaps hold plus the reservoir's worst case of R

@@ -42,11 +42,10 @@ val active_shared_lines : t -> int
     for an allocator that avoids actively-induced false sharing (fresh
     lines are never split across threads). *)
 
-val check_blowup : t -> stats:Alloc_stats.snapshot -> empty_fraction:float -> slop:int -> unit
+val check_blowup : t -> stats:Alloc_stats.snapshot -> envelope:(live:int -> int) -> unit
 (** Asserts the paper's bound against the run's peaks:
-    [peak_held <= 2 * peak_usable / (1 - f) + slop], where [slop] is the
-    caller-computed O(P)-term for the configuration (superblock slack,
-    release threshold, cache capacities, quarantine). *)
+    [peak_held <= envelope ~live:peak_usable], normally
+    {!Hoard_config.blowup_envelope} of the subject's configuration. *)
 
 val check_residency : t -> stats:Alloc_stats.snapshot -> reservoir:int -> sb_size:int -> unit
 (** Asserts the memory-lifecycle invariant

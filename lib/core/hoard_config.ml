@@ -322,6 +322,43 @@ let make ?(base = default) ?sb_size ?empty_fraction ?slack ?growth ?ngroups ?nhe
 
 let max_small t = t.sb_size / 2
 
+(* The O(P) term of the paper's blowup bound, from the configuration: per
+   heap, K superblocks of slack, one being installed (the invariant is
+   only enforced on frees), one in transit to the global heap, and one
+   pinned per size class by the trim's protect-last rule; the global
+   heap's retained empties; front-end caches and deferred lists park whole
+   blocks; the quarantine holds back frees; threads keep one allocation
+   in flight. All counted at superblock granularity where a superblock
+   could be pinned, so the envelope is generous but still O(U + P).
+
+   P here is the PEAK LIVE thread population (Sim.peak_live_threads),
+   not the total ever spawned: a retiring thread's exit path flushes its
+   caches and hands its heap's superblocks to the global heap, so under
+   churn the threads that have come and gone must not widen the
+   envelope. Holding the bound to peak-live P is precisely what tests
+   that orphaned-superblock adoption works. *)
+let blowup_slop t ~nprocs ~peak_live_threads =
+  let s = t.sb_size in
+  let p = peak_live_threads in
+  let heaps = (match t.nheaps with Some n -> n | None -> nprocs) + 1 in
+  let per_heap = (t.slack + 4) * s * heaps in
+  let retained = (t.release_threshold + 1) * s in
+  let in_flight = p * s in
+  let fe = if t.front_end > 0 then (p + heaps) * s else 0 in
+  let quarantine = if t.sanitize then t.quarantine * max_small t else 0 in
+  (* Deferred lists are unbounded, but a block only floats between a
+     producer's eviction (at most a cache's worth per flush) and the
+     owner's next fill — the same per-thread granularity as the caches,
+     counted once more per heap since reclaims happen heap by heap. *)
+  let deferred = if t.front_end > 0 then (p + heaps) * s else 0 in
+  (* The large cache keeps up to cap regions per bucket mapped (1..16
+     pages each, 4 KiB pages on every platform we build). *)
+  let large_cache = t.large_cache * (16 * 17 / 2) * 4096 in
+  per_heap + retained + in_flight + fe + quarantine + deferred + large_cache
+
+let blowup_envelope t ~nprocs ~peak_live_threads ~live =
+  int_of_float (2.0 *. float_of_int live /. (1.0 -. t.empty_fraction)) + blowup_slop t ~nprocs ~peak_live_threads
+
 (* Registry-driven printer: the core shape parameters always print (in
    registry order), every other knob only when it differs from the
    default — so new knobs show up in [inspect] output automatically. *)

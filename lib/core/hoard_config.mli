@@ -180,6 +180,22 @@ val validate : t -> unit
 val max_small : t -> int
 (** Largest request served from superblocks: S/2, as in the paper. *)
 
+val blowup_slop : t -> nprocs:int -> peak_live_threads:int -> int
+(** The configuration's O(P) term of the paper's blowup bound: slack,
+    installing, in-transit and protect-last superblocks per heap, the
+    global heap's retained empties, one superblock in flight per thread,
+    front-end caches, deferred lists, the quarantine and the large
+    cache. P is the peak concurrently-live thread population
+    ([Sim.peak_live_threads]) — never the total number of threads ever
+    spawned: exited threads' caches are flushed and their superblocks
+    adopted, so they must not widen the envelope. *)
+
+val blowup_envelope : t -> nprocs:int -> peak_live_threads:int -> live:int -> int
+(** The O(U + P) envelope on peak held bytes with U = [live]:
+    [2 * live / (1 - f) + blowup_slop]. The oracle grades against it with
+    its ideal allocator's peak usable bytes; [exp_scale] with the run's
+    peak live bytes. *)
+
 val pp : Format.formatter -> t -> unit
 (** Registry-driven: the core shape knobs always print; every other knob
     prints only when it differs from {!default}. *)
