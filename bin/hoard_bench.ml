@@ -3,7 +3,7 @@
 
      hoard_bench list
      hoard_bench run fig_threadtest --full --procs 1,2,4,8,14
-     hoard_bench all --quick --csv
+     hoard_bench all --csv
 *)
 
 open Cmdliner
@@ -13,18 +13,6 @@ let scale_of_flag full = if full then Experiments.Full else Experiments.Quick
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
-let parse_procs = function
-  | None -> None
-  | Some s ->
-    let parts = String.split_on_char ',' s in
-    Some
-      (List.map
-         (fun p ->
-           match int_of_string_opt (String.trim p) with
-           | Some n when n >= 1 -> n
-           | _ -> failwith (Printf.sprintf "bad processor count %S" p))
-         parts)
 
 let print_output ~csv (out : Experiments.output) =
   List.iter
@@ -56,63 +44,23 @@ let list_cmd =
 let full_flag =
   Arg.(value & flag & info [ "full" ] ~doc:"Run at full scale (the EXPERIMENTS.md configuration).")
 
-let quick_flag =
-  Arg.(value & flag & info [ "quick" ] ~doc:"Run at quick scale (the default; overrides $(b,--full)).")
-
 let csv_flag = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of ASCII tables.")
+
+(* A comma-separated list of processor counts, each >= 1; anything else is
+   a usage error. *)
+let procs_conv =
+  let parse s =
+    let counts = List.map (fun p -> int_of_string_opt (String.trim p)) (String.split_on_char ',' s) in
+    if List.for_all (function Some n -> n >= 1 | None -> false) counts then Ok (List.filter_map Fun.id counts)
+    else Error (`Msg (Printf.sprintf "bad processor counts %S (expected P1,P2,.. with each P >= 1)" s))
+  in
+  Arg.conv (parse, fun fmt ps -> Format.pp_print_string fmt (String.concat "," (List.map string_of_int ps)))
 
 let procs_opt =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some procs_conv) None
     & info [ "procs" ] ~docv:"P1,P2,.." ~doc:"Processor counts to sweep (default depends on scale).")
-
-let front_end_opt =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "front-end" ] ~docv:"K"
-        ~doc:
-          "Per-thread block-cache capacity per size class for the hoard instance (0 = the paper's exact \
-           algorithm, the default).")
-
-let vmem_conv =
-  let parse s =
-    match Vmem_backend.kind_of_string s with
-    | Some k -> Ok k
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown vmem backend %S (exact, first-fit, buddy)" s))
-  in
-  Arg.conv (parse, fun fmt k -> Format.pp_print_string fmt (Vmem_backend.kind_name k))
-
-let vmem_opt =
-  Arg.(
-    value
-    & opt vmem_conv Vmem_backend.Exact
-    & info [ "vmem" ] ~docv:"KIND"
-        ~doc:
-          "Reuse policy of the simulated address space: $(b,exact) (the seed policy, the default), \
-           $(b,first-fit) (coalescing free list) or $(b,buddy) (binary buddy system).")
-
-let reservoir_opt =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "reservoir" ] ~docv:"R"
-        ~doc:
-          "Capacity (superblocks) of the size-class-agnostic reservoir: empty superblocks park there \
-           decommitted instead of unmapping, bounding residency by heap-held + R*S. 0 (the default) \
-           disables it, restoring the seed lifecycle.")
-
-let slack_opt =
-  Arg.(
-    value
-    & opt int Hoard_config.default.Hoard_config.slack
-    & info [ "slack" ] ~docv:"K"
-        ~doc:
-          "Slack K (superblocks a per-processor heap may hold beyond use) for the instrumented \
-           pass. 0 sends every empty superblock across the emptiness threshold — the \
-           transfer-heavy configuration the global-heap contention smoke measures on.")
 
 let run_cmd =
   let doc = "Run one experiment by id." in
@@ -140,31 +88,31 @@ let run_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Write the experiment's tables as a JSON report (the CI artifact format).")
   in
-  let run id full quick csv procs metrics trace front_end vmem reservoir slack json sets =
-    let config = Config_cli.apply (Hoard_config.make ~front_end ~vmem_backend:vmem ~reservoir ~slack ()) sets in
-    let scale = scale_of_flag (full && not quick) in
+  let run id full csv procs metrics trace json sets =
+    let config = Config_cli.apply Hoard_config.default sets in
+    let scale = scale_of_flag full in
     match Experiments.find id with
     | None ->
       Printf.eprintf "unknown experiment %S; try: %s\n" id (String.concat " " (Experiments.ids ()));
       exit 1
     | Some e ->
-      let out = e.Experiments.run scale ~procs:(parse_procs procs) in
+      let out = e.Experiments.run scale ~procs in
       print_output ~csv out;
       (match json with
        | Some f ->
          write_file f
            (Printf.sprintf "{\"experiment\":\"%s\",\"scale\":\"%s\",\"tables\":[%s]}" id
-              (if full && not quick then "full" else "quick")
+              (if full then "full" else "quick")
               (String.concat "," (List.map Table.to_json out.Experiments.tables)));
          Printf.printf "wrote JSON report to %s\n" f
        | None -> ());
       if metrics <> None || trace <> None then begin
         let nprocs =
-          match parse_procs procs with
+          match procs with
           | Some (p :: _) -> p
           | _ -> 8
         in
-        let w = Experiments.obs_workload id scale in
+        let w = e.Experiments.obs scale in
         let b = Obs_run.run_workload ~config w ~nprocs in
         Printf.printf "instrumented pass: %s on %d procs, %d cycles, %d events recorded (%d dropped)\n"
           b.Obs_run.b_name nprocs b.Obs_run.b_cycles (Obs.total_recorded b.Obs_run.b_obs)
@@ -183,8 +131,8 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ id_arg $ full_flag $ quick_flag $ csv_flag $ procs_opt $ metrics_opt $ trace_opt
-      $ front_end_opt $ vmem_opt $ reservoir_opt $ slack_opt $ json_opt $ Config_cli.set_opt)
+      const run $ id_arg $ full_flag $ csv_flag $ procs_opt $ metrics_opt $ trace_opt $ json_opt
+      $ Config_cli.set_opt)
 
 let all_cmd =
   let doc = "Run every experiment in order." in
@@ -192,7 +140,7 @@ let all_cmd =
     List.iter
       (fun e ->
         Printf.printf "### %s (%s)\n\n" e.Experiments.title e.Experiments.id;
-        print_output ~csv (e.Experiments.run (scale_of_flag full) ~procs:(parse_procs procs)))
+        print_output ~csv (e.Experiments.run (scale_of_flag full) ~procs))
       (Experiments.all ())
   in
   Cmd.v (Cmd.info "all" ~doc) Term.(const run $ full_flag $ csv_flag $ procs_opt)
@@ -215,8 +163,8 @@ let get_workload name full =
 
 let inspect_cmd =
   let doc = "Run a benchmark under Hoard, then dump the allocator's heap state." in
-  let run name full nprocs front_end vmem reservoir sets =
-    let config = Config_cli.apply (Hoard_config.make ~front_end ~vmem_backend:vmem ~reservoir ()) sets in
+  let run name full nprocs sets =
+    let config = Config_cli.apply Hoard_config.default sets in
     let w = get_workload name full in
     let sim = Sim.create ~vmem_backend:config.Hoard_config.vmem_backend ~nprocs () in
     let pf = Sim.platform sim in
@@ -247,21 +195,12 @@ let inspect_cmd =
   in
   Cmd.v
     (Cmd.info "inspect" ~doc)
-    Term.(
-      const run $ workload_arg $ full_flag $ nprocs_arg $ front_end_opt $ vmem_opt $ reservoir_opt
-      $ Config_cli.set_opt)
+    Term.(const run $ workload_arg $ full_flag $ nprocs_arg $ Config_cli.set_opt)
 
 let sweep_cmd =
-  let doc = "Run one benchmark under Hoard with explicit algorithm parameters." in
-  let f_arg = Arg.(value & opt float 0.25 & info [ "f" ] ~doc:"Emptiness fraction f.") in
-  let k_arg = Arg.(value & opt int 4 & info [ "k" ] ~doc:"Slack K (superblocks).") in
-  let s_arg = Arg.(value & opt int 8192 & info [ "sbsize" ] ~doc:"Superblock size S.") in
-  let run name full nprocs f k sbsize vmem reservoir sets =
-    let config =
-      Config_cli.apply
-        (Hoard_config.make ~empty_fraction:f ~slack:k ~sb_size:sbsize ~vmem_backend:vmem ~reservoir ())
-        sets
-    in
+  let doc = "Run one benchmark under Hoard with explicit algorithm parameters (see $(b,--set))." in
+  let run name full nprocs sets =
+    let config = Config_cli.apply Hoard_config.default sets in
     let w = get_workload name full in
     let r =
       Runner.run
@@ -282,9 +221,7 @@ let sweep_cmd =
       r.Runner.r_stats.Alloc_stats.reservoir_drops
   in
   Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(
-      const run $ workload_arg $ full_flag $ nprocs_arg $ f_arg $ k_arg $ s_arg $ vmem_opt
-      $ reservoir_opt $ Config_cli.set_opt)
+    Term.(const run $ workload_arg $ full_flag $ nprocs_arg $ Config_cli.set_opt)
 
 let serve_cmd =
   let doc =
@@ -337,7 +274,7 @@ let serve_cmd =
             "Write a Perfetto trace: request spans per worker, a request-latency counter track, and \
              held/live/resident memory counter tracks.")
   in
-  let run profile_name alloc_label full quick nprocs requests slo report trace sets =
+  let run profile_name alloc_label full nprocs requests slo report trace sets =
     let profile =
       match Server_mix.profile_of_string profile_name with
       | Some p -> p
@@ -362,7 +299,7 @@ let serve_cmd =
             alloc_label;
           exit 1
     in
-    let scale = scale_of_flag (full && not quick) in
+    let scale = scale_of_flag full in
     let params =
       let p = Experiments.server_params profile scale in
       if requests > 0 then { p with Server_mix.requests } else p
@@ -406,7 +343,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ profile_arg $ allocator_arg $ full_flag $ quick_flag $ nprocs_arg $ requests_opt
+      const run $ profile_arg $ allocator_arg $ full_flag $ nprocs_arg $ requests_opt
       $ slo_opt $ report_opt $ trace_opt $ Config_cli.set_opt)
 
 let () =

@@ -1,7 +1,6 @@
 (* The one [--set knob=value] option shared by hoard_bench, hoard_trace
    and hoard_check: textual overrides over the Hoard_config knob
-   registry, applied after (and on top of) each command's individual
-   flags — which stay as aliases for the knobs they predate. A new knob
+   registry, the only way these CLIs set an allocator knob. A new knob
    becomes settable everywhere by adding its registry entry, with no
    edits to any CLI. *)
 
@@ -14,8 +13,8 @@ let set_opt =
     & info [ "set" ] ~docv:"KNOB=VALUE"
         ~doc:
           (Printf.sprintf
-             "Override one allocator knob (repeatable; applied on top of the individual flags, left \
-              to right). Knobs: %s. Values: ints, floats, true/false, and $(b,auto) for nheaps."
+             "Override one allocator knob (repeatable; applied left to right on top of the command's \
+              base configuration). Knobs: %s. Values: ints, floats, true/false, and $(b,auto) for nheaps."
              (String.concat ", " (Hoard_config.knob_names ()))))
 
 (* Fold the overrides over [base], turning a bad knob or value into a
