@@ -1,12 +1,7 @@
-(* The full benchmark harness.
-
-   Part 1 — Bechamel micro-benchmarks: real wall-clock latency of the
-   allocator code paths themselves (host platform, no simulator), one
-   test per allocator and size mix.
-
-   Part 2 — every table and figure of the paper, regenerated through the
-   experiment registry at Full scale (override with HOARD_BENCH_SCALE=quick
-   and HOARD_BENCH_PROCS=1,2,4).
+(* Bechamel micro-benchmarks: real wall-clock latency of the allocator
+   code paths themselves (host platform, no simulator), one test per
+   allocator and size mix. The paper's tables and figures are regenerated
+   by [hoard_bench all --full].
 
      dune exec bench/main.exe
 *)
@@ -65,44 +60,4 @@ let run_micro () =
     rows;
   print_newline ()
 
-let scale_of_env () =
-  match Sys.getenv_opt "HOARD_BENCH_SCALE" with
-  | Some ("quick" | "Quick" | "QUICK") -> Experiments.Quick
-  | _ -> Experiments.Full
-
-let procs_of_env () =
-  match Sys.getenv_opt "HOARD_BENCH_PROCS" with
-  | None -> None
-  | Some s ->
-    Some
-      (List.filter_map
-         (fun p -> int_of_string_opt (String.trim p))
-         (String.split_on_char ',' s))
-
-let run_experiments () =
-  let scale = scale_of_env () in
-  let procs = procs_of_env () in
-  Printf.printf "=== Paper tables and figures (%s scale) ===\n\n"
-    (match scale with
-     | Experiments.Quick -> "quick"
-     | Experiments.Full -> "full");
-  List.iter
-    (fun e ->
-      Printf.printf "--- %s [%s] (%s) ---\n\n" e.Experiments.title e.Experiments.id e.Experiments.paper_ref;
-      let t0 = Unix.gettimeofday () in
-      let out = e.Experiments.run scale ~procs in
-      List.iter
-        (fun tbl ->
-          Table.print tbl;
-          print_newline ())
-        out.Experiments.tables;
-      (match out.Experiments.plot with
-       | Some plot -> print_string plot
-       | None -> ());
-      Printf.printf "(%.1fs)\n\n" (Unix.gettimeofday () -. t0))
-    (Experiments.all ())
-
-let () =
-  run_micro ();
-  run_experiments ();
-  print_endline "done."
+let () = run_micro ()
